@@ -4,8 +4,10 @@ Two matrix flavors:
 
 * ``PlainMatrix`` -- matrices over F_p or Q.  ``rank_dense`` is Gaussian
   elimination (numpy int64 kernel for F_p, Fractions for Q);
-  ``rank_sparse`` eliminates in Markowitz min-fill order and falls back to
-  the dense kernel when fill-in passes 50% of the remaining block.
+  ``rank_sparse`` eliminates in Markowitz min-fill order, finding each
+  pivot from buckets of rows and columns keyed by live count instead of
+  rescanning the block, and falls back to the dense kernel when fill-in
+  passes 50% of the remaining block.  Both kernels serve F_p and Q.
 
 * ``LaurentMatrix`` -- matrices whose entries are Laurent polynomials in d
   commuting variables, i.e. matrices over the rational function field
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +38,13 @@ from .fields import Field, PrimeField, RawScalar
 
 Poly = Dict[Tuple[int, ...], RawScalar]
 
-# Measured crossover regime for the elimination kernels.
+# Crossover between the elimination kernels, measured single-threaded on
+# CPython 3.11 / numpy 2.4.  On the quotient matrices of [z1-1, z2-1] over
+# F_3, rank_sparse is at least as fast as rank_dense from 16x32 up (0.25 ms
+# vs 0.34 ms; 14 ms vs 81 ms at 1024x2048) and slower only on the smallest
+# (4x8: 0.16 ms vs 0.07 ms).  On uniformly random F_3 matrices fill swamps
+# the sparse phase: dense is 2-2.5x faster at density 0.1-0.3 from 64x64
+# to 256x256, and about even at density 0.05.
 DENSE_ENTRY_LIMIT = 4096
 DENSE_DENSITY_LIMIT = 0.2
 SPARSE_FILL_LIMIT = 0.5
@@ -231,62 +240,130 @@ def rank_dense(m: PlainMatrix) -> int:
 
 
 def rank_sparse(m: PlainMatrix) -> int:
-    """Markowitz-ordered elimination.
+    """Markowitz-ordered elimination with a bucketed pivot search.
 
-    Pivots minimize (nnz(row)-1)*(nnz(col)-1); ties break to the lowest
-    (row, col), which fixes the elimination order independently of dict
-    iteration.  Any nonzero pivot is exact over an exact field, so no
-    magnitude thresholding is needed.  When the live block densifies past
-    SPARSE_FILL_LIMIT, the remainder goes to the dense kernel.
+    Each pivot minimizes (nnz(row)-1)*(nnz(col)-1) over the live block.
+    Rows and columns sit in buckets keyed by their live count, and the
+    counts, the buckets, the live nnz and the live-column count are
+    updated as elimination adds fill and cancels entries; no step rescans
+    the whole block.  ``_markowitz_pivot`` walks the buckets in increasing
+    count and stops once no unscanned entry can cost less than the best
+    one found.
+
+    The pivot depends only on the matrix: the row and column structures
+    are built from the entries in sorted (row, col) order, every bucket
+    and column index is an insertion-ordered dict, and updates run in
+    that order, so ties break the same way on every run and no hash seed
+    enters.  Any nonzero pivot is exact over an exact field, so the rank
+    does not depend on the order and no magnitude thresholding is needed.
+    When the live block densifies past SPARSE_FILL_LIMIT, the remainder
+    goes to the dense kernel.
     """
     field = m.field
+    zero, sub, mul, is_zero = field.zero, field.sub, field.mul, field.is_zero
     rows: Dict[int, Dict[int, RawScalar]] = {}
-    cols: Dict[int, set] = {}
-    for (i, j), v in m.entries.items():
+    cols: Dict[int, Dict[int, None]] = {}
+    for (i, j), v in sorted(m.entries.items()):
         rows.setdefault(i, {})[j] = v
-        cols.setdefault(j, set()).add(i)
+        cols.setdefault(j, {})[i] = None
+    row_bins: Dict[int, Dict[int, None]] = {}
+    col_bins: Dict[int, Dict[int, None]] = {}
+    for i, row in rows.items():
+        row_bins.setdefault(len(row), {})[i] = None
+    for j, col in cols.items():
+        col_bins.setdefault(len(col), {})[j] = None
+    nnz = len(m.entries)
+    live_cols = len(cols)
     rank = 0
     while rows:
-        nnz = sum(len(r) for r in rows.values())
-        live_cols = {j for j, s in cols.items() if s}
-        if nnz > SPARSE_FILL_LIMIT * len(rows) * max(1, len(live_cols)):
-            rank += _densify_rank(field, rows)
-            break
-        best = None
-        best_cost = None
-        for i in sorted(rows):
-            row = rows[i]
-            rl = len(row) - 1
-            for j in sorted(row):
-                cost = rl * (len(cols[j]) - 1)
-                if best_cost is None or cost < best_cost:
-                    best, best_cost = (i, j), cost
-        pi, pj = best
-        pval = rows[pi][pj]
-        pinv = field.inv(pval)
+        if nnz > SPARSE_FILL_LIMIT * len(rows) * live_cols:
+            return rank + _densify_rank(field, rows)
+        pi, pj = _markowitz_pivot(rows, cols, row_bins, col_bins)
+        # Take the pivot row and every column it touches out of their
+        # buckets; the columns go back once the update has settled them.
         prow = rows.pop(pi)
+        del row_bins[len(prow)][pi]
+        nnz -= len(prow)
         for j in prow:
-            cols[j].discard(pi)
-        for i2 in sorted(cols[pj]):
+            del col_bins[len(cols[j])][j]
+            del cols[j][pi]
+        pinv = field.inv(prow.pop(pj))
+        targets = cols.pop(pj)
+        live_cols -= 1
+        nnz -= len(targets)
+        for i2 in targets:
             row2 = rows[i2]
-            f = field.mul(row2.pop(pj), pinv)
-            cols[pj].discard(i2)
+            del row_bins[len(row2)][i2]
+            f = mul(row2.pop(pj), pinv)
             for j, v in prow.items():
-                if j == pj:
-                    continue
-                new = field.sub(row2.get(j, field.zero), field.mul(f, v))
-                if field.is_zero(new):
+                new = sub(row2.get(j, zero), mul(f, v))
+                if is_zero(new):
                     if j in row2:
                         del row2[j]
-                        cols[j].discard(i2)
+                        del cols[j][i2]
+                        nnz -= 1
                 else:
                     if j not in row2:
-                        cols[j].add(i2)
+                        cols[j][i2] = None
+                        nnz += 1
                     row2[j] = new
-            if not row2:
+            if row2:
+                row_bins.setdefault(len(row2), {})[i2] = None
+            else:
                 del rows[i2]
+        for j in prow:
+            col = cols[j]
+            if col:
+                col_bins.setdefault(len(col), {})[j] = None
+            else:
+                del cols[j]
+                live_cols -= 1
         rank += 1
     return rank
+
+
+def _markowitz_pivot(rows, cols, row_bins, col_bins):
+    """The first entry of least Markowitz cost in bucket search order.
+
+    Alternates between the column bucket of count ``kc`` and the row
+    bucket of count ``kr``, starting from the least live counts.  Once the
+    columns of count below ``kc`` and the rows of count below ``kr`` are
+    scanned, every unscanned entry lies in a column of count >= kc and a
+    row of count >= kr, so it costs at least (kc-1)*(kr-1); the search
+    stops as soon as the best cost found is no more than that.
+
+    Each bucket is scanned newest first.  The rows and columns the last
+    update touched lie on the fill front, so the elimination stays local;
+    on the 2304x4608 F_3 quotient of [z1-1, z2-1], oldest-first order
+    lets rows grow to 84 entries and runs about nine times slower.
+    """
+    kr = kc = 1
+    while not row_bins.get(kr):
+        kr += 1
+    while not col_bins.get(kc):
+        kc += 1
+    best, best_cost = None, float("inf")
+    while True:
+        for j in reversed(col_bins.get(kc, {})):
+            for i in cols[j]:
+                cost = (len(rows[i]) - 1) * (kc - 1)
+                if cost < best_cost:
+                    best, best_cost = (i, j), cost
+            if best_cost <= (kc - 1) * (kr - 1):
+                return best
+        kc += 1
+        if best_cost <= (kc - 1) * (kr - 1):
+            return best
+        for i in reversed(row_bins.get(kr, {})):
+            for j in rows[i]:
+                cost = (kr - 1) * (len(cols[j]) - 1)
+                if cost < best_cost:
+                    best, best_cost = (i, j), cost
+            if best_cost <= (kc - 1) * (kr - 1):
+                return best
+        kr += 1
+        if best_cost <= (kc - 1) * (kr - 1):
+            return best
 
 
 def _densify_rank(field, rows) -> int:
@@ -358,11 +435,19 @@ def poly_monomial_shift(a: Poly, shift: Tuple[int, ...]) -> Poly:
 
 
 def poly_divexact(num: Poly, den: Poly, field: Field) -> Poly:
-    """Exact division of multivariate polynomials.
+    """Exact division of multivariate Laurent polynomials.
 
     Repeatedly cancels the lex-leading term; requires (and checks) that
     the division leaves no remainder, which the Bareiss identity
     guarantees at its call sites.
+
+    If num = q * den, lex minima add (lex order is compatible with adding
+    exponents), and so do the lowest exponents of each variable.  So every
+    exponent of q is lex-above lexmin(num) - lexmin(den), and its k-th
+    entry is at least min_k(num) - min_k(den).  A quotient exponent that
+    breaks either bound proves the division inexact.  The exponents
+    produced strictly decrease in lex order, so with every entry bounded
+    below the loop ends.
     """
     if not den:
         raise ZeroDivisionError("division by zero polynomial")
@@ -371,19 +456,24 @@ def poly_divexact(num: Poly, den: Poly, field: Field) -> Poly:
     lead_e = max(den)
     lead_v = den[lead_e]
     lead_inv = field.inv(lead_v)
+    lex_floor = tuple(map(operator.sub, min(num), min(den)))
+    floors = tuple(map(operator.sub, map(min, zip(*num)), map(min, zip(*den))))
     rem = dict(num)
     quot: Poly = {}
-    guard = 0
     while rem:
-        guard += 1
-        if guard > 1_000_000:
-            raise ArithmeticError("inexact polynomial division")
         e = max(rem)
-        qe = tuple(x - y for x, y in zip(e, lead_e))
+        qe = tuple(map(operator.sub, e, lead_e))
+        if qe < lex_floor or any(map(operator.lt, qe, floors)):
+            raise ArithmeticError("inexact polynomial division")
         qv = field.mul(rem[e], lead_inv)
         quot[qe] = qv
-        step = poly_monomial_shift({de: field.mul(dv, qv) for de, dv in den.items()}, qe)
-        rem = poly_sub(rem, step, field)
+        for de, dv in den.items():
+            key = tuple(map(operator.add, de, qe))
+            v = field.sub(rem.get(key, field.zero), field.mul(dv, qv))
+            if field.is_zero(v):
+                rem.pop(key, None)
+            else:
+                rem[key] = v
         if rem and max(rem) >= e:
             raise ArithmeticError("inexact polynomial division")
     return quot

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import oracle_laurent_rank, oracle_rank, oracle_rank_q
+from oredim import linalg
 from oredim.errors import UnsupportedOperationError
 from oredim.fields import PrimeField, Rationals
 from oredim.linalg import (LaurentMatrix, PlainMatrix, extension_field,
@@ -110,6 +111,117 @@ def test_rank_sparse_dense_fallback_path():
     assert rank_sparse(m) == rank_dense(m)
 
 
+def plane_quotient(field, n):
+    """Level-n quotient matrix of [z1 - 1, z2 - 1] over Z^2, built by hand.
+
+    Row (a, b) holds +1 at (a+1, b) and -1 at (a, b) in the first block,
+    +1 at (a, b+1) and -1 at (a, b) in the second, indices mod n.  Its
+    kernel is the constants, so the rank is n^2 - 1 over every field.
+    """
+    size = n * n
+    entries = {}
+    for a in range(n):
+        for b in range(n):
+            r = a * n + b
+            for col, v in ((((a + 1) % n) * n + b, 1), (r, -1),
+                           (size + a * n + (b + 1) % n, 1), (size + r, -1)):
+                entries[(r, col)] = field.add(entries.get((r, col), field.zero),
+                                              field.normalize(v))
+    return PlainMatrix(field, size, 2 * size, entries)
+
+
+@pytest.mark.parametrize("field", [F2, F3, PrimeField(1000003), Q], ids=repr)
+def test_rank_sparse_plane_quotients_closed_form(field):
+    for n in (1, 2, 3, 5, 8, 16, 32, 48):
+        m = plane_quotient(field, n)
+        assert rank_sparse(m) == n * n - 1, n
+        if n <= 8:
+            assert rank_dense(m) == oracle_rank(m.to_dense(), field) == n * n - 1
+        elif n <= 32 and isinstance(field, PrimeField):
+            assert rank_dense(m) == n * n - 1
+
+
+def _structured_cases(rng, field):
+    def value():
+        if isinstance(field, PrimeField):
+            return rng.randrange(1, field.p)
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+
+    def scatter(nrows, ncols, count, row_ids=None, col_ids=None):
+        row_ids = row_ids or range(nrows)
+        col_ids = col_ids or range(ncols)
+        return {(rng.choice(row_ids), rng.choice(col_ids)): value()
+                for _ in range(count)}
+
+    # empty rows and columns: only even rows and columns divisible by 3
+    yield PlainMatrix(field, 9, 12, scatter(9, 12, 14, range(0, 9, 2), range(0, 12, 3)))
+    # column singletons: column i holds only (i, i); the rest is scattered
+    singles = scatter(10, 16, 25, col_ids=range(10, 16))
+    singles.update({(i, i): value() for i in range(10)})
+    m = PlainMatrix(field, 10, 16, singles)
+    yield m
+    # row singletons: the transpose
+    yield m.transpose()
+    # duplicated rows, some scaled: rank is that of the distinct rows
+    base = scatter(5, 11, 18)
+    dup = dict(base)
+    for (i, j), v in base.items():
+        dup[(i + 5, j)] = v
+        dup[(i + 10, j)] = field.mul(v, field.normalize(2 if i % 2 else 1))
+    yield PlainMatrix(field, 15, 11, dup)
+    # nothing but zeros
+    yield PlainMatrix(field, 4, 3, {})
+
+
+@pytest.mark.parametrize("field", [F2, F5, Q], ids=repr)
+def test_rank_sparse_structured_matrices(field):
+    rng = random.Random(131)
+    for _ in range(8):
+        for m in _structured_cases(rng, field):
+            assert rank_sparse(m) == rank_dense(m) == oracle_rank(m.to_dense(), field)
+
+
+def test_rank_sparse_fill_falls_back_to_dense_partway(monkeypatch):
+    # a unit diagonal plus scattered entries: sparse pivots run first, then
+    # fill pushes the live block past SPARSE_FILL_LIMIT
+    ranked = []
+    real_dense = linalg.rank_dense
+    monkeypatch.setattr(linalg, "rank_dense",
+                        lambda block: ranked.append(block.nrows) or real_dense(block))
+    for seed in range(4):
+        rng = random.Random(seed)
+        entries = {(i, i): 1 for i in range(24)}
+        entries.update({(rng.randrange(24), rng.randrange(24)): rng.randrange(1, 3)
+                        for _ in range(72)})
+        m = PlainMatrix(F3, 24, 24, entries)
+        ranked.clear()
+        r = rank_sparse(m)
+        assert len(ranked) == 1 and 0 < ranked[0] < 24
+        assert r == real_dense(m) == oracle_rank(m.to_dense(), F3)
+
+
+def test_rank_sparse_pivots_depend_only_on_the_matrix(monkeypatch):
+    pivots = []
+    real_search = linalg._markowitz_pivot
+
+    def spy(*args):
+        pivots.append(real_search(*args))
+        return pivots[-1]
+
+    monkeypatch.setattr(linalg, "_markowitz_pivot", spy)
+    rng = random.Random(137)
+    entries = {(rng.randrange(40), rng.randrange(50)): rng.randrange(1, 5)
+               for _ in range(160)}
+    shuffled = list(entries.items())
+    rng.shuffle(shuffled)
+    runs = []
+    for order in (entries.items(), reversed(shuffled), shuffled):
+        pivots.clear()
+        rank_sparse(PlainMatrix(F5, 40, 50, dict(order)))
+        runs.append(list(pivots))
+    assert runs[0] and runs[0] == runs[1] == runs[2]
+
+
 # -- metamorphic invariances ---------------------------------------------------
 
 def test_plain_rank_invariances():
@@ -187,7 +299,18 @@ def test_poly_divexact_detects_inexact():
     den = {(1,): 1}
     with pytest.raises(ArithmeticError):
         poly_divexact({(0,): 1, (2,): 1}, {(1,): 1, (0,): 1}, F3)
+    # 1 / (t + 1) is no Laurent polynomial: the quotient would run into
+    # ever more negative exponents
+    with pytest.raises(ArithmeticError):
+        poly_divexact({(0,): 1}, {(1,): 1, (0,): 1}, F2)
+    # (x + 1) / (x + x y^-1): lex-only bounds never stop this one, since
+    # the quotient terms y^-k all stay lex-above lexmin(num) - lexmin(den)
+    with pytest.raises(ArithmeticError):
+        poly_divexact({(1, 0): 1, (0, 0): 1}, {(1, 0): 1, (1, -1): 1}, F3)
     assert poly_divexact(poly_mul(num, den, F3), den, F3) == num
+    q = {(1, -1): 2, (0, -2): 1, (-1, 0): 1}
+    d = {(-1, 0): 1, (0, 1): 4, (2, -3): 3}
+    assert poly_divexact(poly_mul(q, d, F5), d, F5) == q
 
 
 # -- probabilistic -------------------------------------------------------------
