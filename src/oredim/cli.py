@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -129,19 +128,6 @@ def _parse_tol(text: str) -> Fraction:
     return tol
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("OREDIM_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SchemaError("OREDIM_THREADS", f"expected an integer >= 1, got {raw!r}") from None
-    if value < 1:
-        raise SchemaError("OREDIM_THREADS", f"expected an integer >= 1, got {raw!r}")
-    return value
-
-
 def _emit(text: str, out: Optional[str]):
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -197,24 +183,23 @@ def _run_vdim(args) -> List[Record]:
     return [_value_record(value, normalizer=index)]
 
 
-def _run_folner(args, threads: int) -> List[Record]:
+def _run_folner(args) -> List[Record]:
     module = jsonio.decode_module(_load_json(args.input))
     levels = _parse_levels(args.levels) if args.levels else list(
         dimensions.DEFAULT_FOLNER_LEVELS)
     levels = [n for n in levels if n >= args.min_level]
-    table = dimensions.elek_truncation_dim(module, levels, rank_alg=args.rank_alg,
-                                           max_workers=threads)
+    table = dimensions.elek_truncation_dim(module, levels, rank_alg=args.rank_alg)
     return _table_records(table)
 
 
-def _run_approx(args, threads: int):
+def _run_approx(args):
     module = jsonio.decode_module(_load_json(args.input))
     levels = _parse_levels(args.levels) if args.levels else None
     config = ReportConfig(
         quotient_levels=tuple(levels) if levels else dimensions.DEFAULT_QUOTIENT_LEVELS,
         folner_levels=tuple(levels) if levels else dimensions.DEFAULT_FOLNER_LEVELS,
         tol=_parse_tol(args.tol), seed=args.seed, rank_alg=args.rank_alg,
-        min_level=max(1, args.min_level), max_workers=threads)
+        min_level=max(1, args.min_level))
     report = dimensions.approx_report(module, config)
     records = []
     if report.target is not None:
@@ -231,7 +216,7 @@ def _run_approx(args, threads: int):
     return records, extra
 
 
-def _run_homology(args, threads: int) -> List[Record]:
+def _run_homology(args) -> List[Record]:
     complex_ = jsonio.decode_complex(_load_json(args.input))
     levels = _parse_levels(args.levels) if args.levels else list(
         dimensions.DEFAULT_QUOTIENT_LEVELS)
@@ -268,18 +253,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "selftest":
             from .selftest import run_all
             return 0 if run_all() else 1
-        threads = _thread_count()
         extra = None
         if args.command == "ore":
             records = _run_ore(args)
         elif args.command == "vdim":
             records = _run_vdim(args)
         elif args.command == "folner":
-            records = _run_folner(args, threads)
+            records = _run_folner(args)
         elif args.command == "approx":
-            records, extra = _run_approx(args, threads)
+            records, extra = _run_approx(args)
         elif args.command == "homology":
-            records = _run_homology(args, threads)
+            records = _run_homology(args)
         elif args.command == "betti-finite":
             records = _run_betti_finite(args)
         else:  # pragma: no cover - argparse enforces the choices

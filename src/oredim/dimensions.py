@@ -19,7 +19,6 @@ tolerance, but no limit is ever declared.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -88,13 +87,6 @@ def _check_levels(levels: Sequence[int]):
     return levels
 
 
-def _map_levels(fn, levels, max_workers: int):
-    if max_workers > 1 and len(levels) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(fn, levels))
-    return [fn(n) for n in levels]
-
-
 def ore_dim(module: PresentedModule, rank_alg: str = "auto", seed: int = 0) -> DimensionValue:
     """Ore dimension of the module: generators minus rank over k(t_1..t_d)."""
     if not isinstance(module.group, Zd):
@@ -106,7 +98,7 @@ def ore_dim(module: PresentedModule, rank_alg: str = "auto", seed: int = 0) -> D
 
 
 def elek_truncation_dim(module: PresentedModule, levels: Sequence[int],
-                        rank_alg: str = "auto", max_workers: int = 1) -> ConvergenceTable:
+                        rank_alg: str = "auto") -> ConvergenceTable:
     """Dimensions of Foelner-truncated cokernels, normalized by |F_n|."""
     levels = _check_levels(levels)
     matrix = module.matrix
@@ -118,11 +110,11 @@ def elek_truncation_dim(module: PresentedModule, levels: Sequence[int],
         raw = s * len(folner) - rank_plain(compressed, rank_alg)
         return TableRow(n, len(folner), raw, Fraction(raw, len(folner)))
 
-    return ConvergenceTable(Method.ELEK, tuple(_map_levels(row, levels, max_workers)))
+    return ConvergenceTable(Method.ELEK, tuple(row(n) for n in levels))
 
 
 def quotient_betti_dim(module: PresentedModule, levels: Sequence[int],
-                       rank_alg: str = "auto", max_workers: int = 1) -> ConvergenceTable:
+                       rank_alg: str = "auto") -> ConvergenceTable:
     """Normalized Betti numbers of the module along the residual chain."""
     levels = _check_levels(levels)
     matrix = module.matrix
@@ -134,7 +126,7 @@ def quotient_betti_dim(module: PresentedModule, levels: Sequence[int],
         raw = s * quotient.index - rank_plain(induced, rank_alg)
         return TableRow(n, quotient.index, raw, Fraction(raw, quotient.index))
 
-    return ConvergenceTable(Method.QUOTIENT, tuple(_map_levels(row, levels, max_workers)))
+    return ConvergenceTable(Method.QUOTIENT, tuple(row(n) for n in levels))
 
 
 def virtual_ore_dim(module: PresentedModule, subgroup, rank_alg: str = "auto",
@@ -179,13 +171,12 @@ class ReportConfig:
     # where early quotients are too coarse.  The built-in models all have
     # trivial finite-normal-subgroup part, so the default keeps everything.
     min_level: int = 1
-    max_workers: int = 1
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
-        if self.min_level < 1 or self.max_workers < 1:
-            raise ValueError("min_level and max_workers must be >= 1")
+        if self.min_level < 1:
+            raise ValueError("min_level must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -226,8 +217,8 @@ def approx_report(module: PresentedModule, config: ReportConfig = ReportConfig()
     qlevels = [n for n in config.quotient_levels if n >= config.min_level]
     flevels = [n for n in config.folner_levels if n >= config.min_level]
     tables = (
-        quotient_betti_dim(module, qlevels, config.rank_alg, config.max_workers),
-        elek_truncation_dim(module, flevels, config.rank_alg, config.max_workers),
+        quotient_betti_dim(module, qlevels, config.rank_alg),
+        elek_truncation_dim(module, flevels, config.rank_alg),
     )
     agreement: Dict[str, bool] = {}
     if target is not None:

@@ -17,6 +17,9 @@ Two matrix flavors:
   ``rank_laurent_probabilistic`` evaluates the variables at random points
   of an extension field F_{p^e} (random integers over Q) large enough that
   the Schwartz-Zippel bound on losing rank is tiny, and reports that bound.
+  Over F_p each trial is ranked by the numpy F_p kernel after restriction
+  of scalars: every entry becomes its e x e multiplication matrix over
+  F_p, which multiplies the rank by e.
 
 Evaluation can only lose rank, so the probabilistic answer is a certified
 lower bound and equals the true rank except with the reported probability.
@@ -194,34 +197,6 @@ def _rank_dense_fraction(rows) -> int:
                 ri, rr = rows[i], rows[r]
                 for j in range(c, ncols):
                     ri[j] -= f * rr[j]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def _rank_dense_generic(rows, add, mul, neg, inv, is_zero) -> int:
-    """Row reduction with caller-supplied field operations."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if not is_zero(rows[i][c]):
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pinv = inv(rows[r][c])
-        rows[r] = [mul(pinv, v) for v in rows[r]]
-        for i in range(r + 1, nrows):
-            v = rows[i][c]
-            if not is_zero(v):
-                nv = neg(v)
-                rows[i] = [add(a, mul(nv, b)) for a, b in zip(rows[i], rows[r])]
         r += 1
         if r == nrows:
             break
@@ -525,6 +500,16 @@ class LaurentMatrix:
                 f"{self.nrows}x{self.ncols})")
 
 
+def _clearing_shifts(m: LaurentMatrix):
+    """Per row, the exponent of the monomial that clears the row's negative
+    exponents (0 in each variable whose exponents are all nonnegative)."""
+    mins = [(0,) * m.nvars] * m.nrows
+    for (i, _), poly in m.entries.items():
+        for exp in poly:
+            mins[i] = tuple(map(min, mins[i], exp))
+    return [tuple(-x for x in row) for row in mins]
+
+
 def rank_laurent_bareiss(m: LaurentMatrix) -> int:
     """Certified rank over k(t_1..t_d) by fraction-free elimination.
 
@@ -535,17 +520,12 @@ def rank_laurent_bareiss(m: LaurentMatrix) -> int:
     are swapped to the first nonzero candidate.
     """
     field = m.field
+    shifts = _clearing_shifts(m)
     grid = []
     for i in range(m.nrows):
         row = [dict(m.entry(i, j)) for j in range(m.ncols)]
-        mins = [0] * m.nvars
-        for poly in row:
-            for e in poly:
-                for v, x in enumerate(e):
-                    mins[v] = min(mins[v], x)
-        shift = tuple(-s for s in mins)
-        if any(shift):
-            row = [poly_monomial_shift(p, shift) for p in row]
+        if any(shifts[i]):
+            row = [poly_monomial_shift(p, shifts[i]) for p in row]
         grid.append(row)
     prev: Poly = {(0,) * m.nvars: field.one}
     rank = 0
@@ -581,72 +561,13 @@ def rank_laurent_bareiss(m: LaurentMatrix) -> int:
     return rank
 
 
-# -- extension fields (internal to the probabilistic engine) -------------
-
-class ExtensionField:
-    """F_{p^e} = F_p[x]/(f), f the first monic irreducible in lex order.
-
-    Elements are coefficient tuples of length e (constant term first).
-    Only the probabilistic rank engine uses this; extension fields are not
-    a user-facing coefficient field.
-    """
-
-    def __init__(self, p: int, e: int):
-        self.p = p
-        self.e = e
-        self.order = p ** e
-        self.modulus = _find_irreducible(p, e)
-        self.zero = (0,) * e
-        self.one = (1,) + (0,) * (e - 1)
-
-    def from_int(self, n: int):
-        return (n % self.p,) + (0,) * (self.e - 1)
-
-    def is_zero(self, a) -> bool:
-        return not any(a)
-
-    def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def neg(self, a):
-        p = self.p
-        return tuple(-x % p for x in a)
-
-    def mul(self, a, b):
-        p, e = self.p, self.e
-        prod = [0] * (2 * e - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        red = _polymod(prod, self.modulus, p)
-        return tuple(red + [0] * (e - len(red)))
-
-    def inv(self, a):
-        if self.is_zero(a):
-            raise ZeroDivisionError("division by zero")
-        inv = _poly_inverse_mod(list(a), self.modulus, self.p)
-        return tuple(inv + [0] * (self.e - len(inv)))
-
-    def pow(self, a, n: int):
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        out = self.one
-        base = a
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
-
-    def random_nonzero(self, rng: random.Random):
-        while True:
-            a = tuple(rng.randrange(self.p) for _ in range(self.e))
-            if any(a):
-                return a
-
+# -- F_{p^e} by restriction of scalars (internal to the probabilistic engine)
+#
+# F_{p^e} = F_p[x]/(f) with f = _find_irreducible(p, e), and an element is
+# its coefficient vector (constant term first).  Multiplication by b is the
+# F_p-linear map whose column l is the vector of b * x^l = C^l b, C the
+# companion matrix of f.  Replacing every entry of a matrix over F_{p^e} by
+# that e x e block multiplies its rank by e, so the F_p kernel ranks it.
 
 def _poly_trim(a):
     while a and a[-1] == 0:
@@ -708,47 +629,6 @@ def _poly_divmod_rem(a, b, p):
     return _poly_trim(a[:db])
 
 
-def _poly_inverse_mod(a, mod, p):
-    # extended Euclid in F_p[x]
-    r0, r1 = list(mod), _poly_trim(list(a))
-    t0, t1 = [], [1]
-    while r1:
-        q, rem = _poly_divmod_full(r0, r1, p)
-        r0, r1 = r1, rem
-        t0, t1 = t1, _poly_trim([(x - y) % p for x, y in
-                                 itertools.zip_longest(t0, _polymul_plain(q, t1, p), fillvalue=0)])
-    if len(r0) != 1:
-        raise ZeroDivisionError("element not invertible")
-    c = pow(r0[0], -1, p)
-    return [x * c % p for x in t0]
-
-
-def _polymul_plain(a, b, p):
-    if not a or not b:
-        return []
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] = (prod[i + j] + x * y) % p
-    return prod
-
-
-def _poly_divmod_full(a, b, p):
-    a = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    q = [0] * max(1, len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            f = c * inv % p
-            q[i - db] = f
-            for k in range(db + 1):
-                a[i - db + k] = (a[i - db + k] - f * b[k]) % p
-    return _poly_trim(q), _poly_trim(a[:db])
-
-
 def _prime_factors(n: int):
     out = set()
     d = 2
@@ -800,9 +680,87 @@ def _find_irreducible(p: int, e: int):
     raise ArithmeticError(f"no irreducible of degree {e} over F_{p}")
 
 
-@functools.lru_cache(maxsize=None)
-def extension_field(p: int, e: int) -> ExtensionField:
-    return ExtensionField(p, e)
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for residue arrays whose inner dimension n is at most 16.
+
+    The plain product is exact while n * (p-1)^2 < 2^63.  Beyond that
+    (p near 2^31 with e >= 3) ``a`` is split at 2^16, which keeps every
+    partial sum below 2^51, so int64 never overflows.
+    """
+    if a.shape[-1] * (p - 1) ** 2 < 2**63:
+        return a @ b % p
+    hi, lo = np.divmod(a, 1 << 16)
+    return ((((hi @ b) % p) << 16) + lo @ b) % p
+
+
+def _companion_powers(p: int, e: int) -> np.ndarray:
+    """C^0, .., C^(e-1) for the companion matrix C of _find_irreducible(p, e),
+    stacked into an (e, e, e) array."""
+    f = _find_irreducible(p, e)
+    c = np.zeros((e, e), dtype=np.int64)
+    c[1:, :-1] = np.eye(e - 1, dtype=np.int64)
+    c[:, -1] = [-x % p for x in f[:e]]
+    powers = [np.eye(e, dtype=np.int64)]
+    for _ in range(e - 1):
+        powers.append(_matmul_mod(c, powers[-1], p))
+    return np.stack(powers)
+
+
+def _multiplication_blocks(vals: np.ndarray, cpow: np.ndarray, p: int) -> np.ndarray:
+    """The e x e matrix of multiplication by each row of ``vals`` (n, e);
+    column l of block k is C^l vals[k]."""
+    e = cpow.shape[0]
+    table = cpow.transpose(2, 1, 0).reshape(e, e * e)
+    return _matmul_mod(vals, table, p).reshape(-1, e, e)
+
+
+def _matrix_powers(a: np.ndarray, exps, p: int) -> np.ndarray:
+    """a^n mod p for each n in ``exps`` (nonnegative ints), by binary
+    powering shared across the exponents."""
+    out = np.tile(np.eye(a.shape[0], dtype=np.int64), (len(exps), 1, 1))
+    for bit in range(max(exps).bit_length()):
+        hit = np.array([n >> bit & 1 for n in exps], dtype=bool)
+        out[hit] = _matmul_mod(out[hit], a, p)
+        a = _matmul_mod(a, a, p)
+    return out
+
+
+def _random_nonzero(rng: random.Random, p: int, e: int):
+    """A random nonzero element of F_{p^e}, as its coefficient vector."""
+    if e == 1:
+        return [rng.randrange(1, p)]
+    while True:
+        digits = [rng.randrange(p) for _ in range(e)]
+        if any(digits):
+            return digits
+
+
+def _cleared_terms(m: LaurentMatrix):
+    """The terms of ``m`` with each row scaled by the monomial clearing its
+    negative exponents, laid out for evaluation with numpy.
+
+    Returns the flat cell index of each nonzero entry and the offset of
+    its first term; each term's coefficient (a column) and the index of its
+    monomial; and per variable, the distinct exponents it takes with the
+    position of each monomial's exponent among them.
+    """
+    shifts = _clearing_shifts(m)
+    monos: Dict[Tuple[int, ...], int] = {}
+    cells, starts, coeffs, term_monos = [], [], [], []
+    for (i, j), poly in m.entries.items():
+        cells.append(i * m.ncols + j)
+        starts.append(len(coeffs))
+        for exp, v in poly.items():
+            mono = tuple(map(operator.add, exp, shifts[i]))
+            term_monos.append(monos.setdefault(mono, len(monos)))
+            coeffs.append(v)
+    per_var = []
+    for column in zip(*monos):
+        exps = sorted(set(column))
+        pos = {n: k for k, n in enumerate(exps)}
+        per_var.append((exps, np.array([pos[n] for n in column])))
+    return (cells, starts, np.array(coeffs, dtype=np.int64)[:, None],
+            np.array(term_monos), per_var)
 
 
 @dataclass(frozen=True)
@@ -830,6 +788,15 @@ def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0) -> RankReport:
     The nonzero minors have total degree at most D = min(r,s) * maxdeg, so
     a uniformly random point from a sample space of size >= 64*D witnesses
     full generic rank except with probability <= D/|space| per trial.
+
+    Over F_p the points lie in F_{p^e}, e the least degree with
+    p^e - 1 >= 64*D (e = 1 when p is large enough).  Each row is first
+    scaled by the monomial clearing its negative exponents, which does not
+    change the rank at any point, so evaluation needs no inverses.  A trial
+    evaluates every monomial once, as a vector over F_p, sums the terms of
+    each entry, and ranks the (r*e) x (s*e) matrix of multiplication blocks
+    over F_p (restriction of scalars); that rank is e times the rank over
+    F_{p^e}.
     """
     r, s = m.nrows, m.ncols
     if r == 0 or s == 0 or not m.entries:
@@ -851,39 +818,27 @@ def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0) -> RankReport:
             raise UnsupportedOperationError(
                 f"extension degree {e} beyond the supported table (p={p})")
         sample_size = p ** e - 1
-        if e == 1:
-            for trial in range(PROBABILISTIC_TRIALS):
-                rng = random.Random(seed * 1_000_003 + trial + 1)
-                point = [rng.randrange(1, p) for _ in range(m.nvars)]
-                a = np.zeros((r, s), dtype=np.int64)
-                for (i, j), poly in m.entries.items():
-                    total = 0
-                    for exp, v in poly.items():
-                        term = v
-                        for x, ee in zip(point, exp):
-                            # pow handles negative exponents via the
-                            # modular inverse
-                            term = term * pow(x, ee, p) % p
-                        total = (total + term) % p
-                    a[i, j] = total
-                best = max(best, _rank_dense_modp(a, p))
-        else:
-            ext = extension_field(p, e)
-            for trial in range(PROBABILISTIC_TRIALS):
-                rng = random.Random(seed * 1_000_003 + trial + 1)
-                point = [ext.random_nonzero(rng) for _ in range(m.nvars)]
-                rows = [[ext.zero] * s for _ in range(r)]
-                for (i, j), poly in m.entries.items():
-                    total = ext.zero
-                    for exp, v in poly.items():
-                        term = ext.from_int(v)
-                        for x, ee in zip(point, exp):
-                            if ee:
-                                term = ext.mul(term, ext.pow(x, ee))
-                        total = ext.add(total, term)
-                    rows[i][j] = total
-                best = max(best, _rank_dense_generic(
-                    rows, ext.add, ext.mul, ext.neg, ext.inv, ext.is_zero))
+        cpow = _companion_powers(p, e)
+        cells, starts, coeffs, term_monos, per_var = _cleared_terms(m)
+        for trial in range(PROBABILISTIC_TRIALS):
+            rng = random.Random(seed * 1_000_003 + trial + 1)
+            point = [_random_nonzero(rng, p, e) for _ in range(m.nvars)]
+            # every distinct monomial at the point, as a vector over F_p
+            vals = np.zeros((len(per_var[0][1]), e), dtype=np.int64)
+            vals[:, 0] = 1
+            for digits, (exps, where) in zip(point, per_var):
+                x = _multiplication_blocks(np.array([digits]), cpow, p)[0]
+                vals = _matmul_mod(_matrix_powers(x, exps, p)[where],
+                                   vals[:, :, None], p)[:, :, 0]
+            values = np.zeros((r * s, e), dtype=np.int64)
+            values[cells] = np.add.reduceat(coeffs * vals[term_monos] % p, starts) % p
+            blocks = _multiplication_blocks(values, cpow, p).reshape(r, s, e, e)
+            rank = _rank_dense_modp(blocks.transpose(0, 2, 1, 3).reshape(r * e, s * e), p)
+            if rank % e:
+                raise ArithmeticError(
+                    f"rank {rank} over F_{p} of a matrix realified from "
+                    f"F_{p}^{e} is not a multiple of {e}")
+            best = max(best, rank // e)
     else:
         sample_size = target
         for trial in range(PROBABILISTIC_TRIALS):

@@ -1,8 +1,10 @@
 """Independent oracles and samplers for the test suite.
 
-Everything here is deliberately naive and self-contained (plain lists and
-dicts, no imports from the package's linear algebra) so that expected
-values frozen in the tests come from a second route.
+Everything here is deliberately naive (plain lists and dicts, nothing from
+the package's elimination kernels) so that expected values frozen in the
+tests come from a second route.  The textbook rank oracle is
+``selftest.textbook_rank``, the list-based Gauss-Jordan that ``oredim
+selftest`` cross-checks with.
 """
 from __future__ import annotations
 
@@ -13,32 +15,7 @@ from fractions import Fraction
 from oredim.fields import PrimeField, Rationals
 from oredim.groupring import GroupRingElement, GroupRingMatrix
 from oredim.groups import Zd
-
-
-def oracle_rank(rows, field):
-    """Textbook Gauss-Jordan on plain lists of field values."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    rank = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if not field.is_zero(rows[i][c]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = field.inv(rows[rank][c])
-        rows[rank] = [field.mul(inv, x) for x in rows[rank]]
-        for i in range(nrows):
-            if i != rank and not field.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(f, y))
-                           for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+from oredim.selftest import textbook_rank as oracle_rank
 
 
 def oracle_rank_modp(int_rows, p):

@@ -109,26 +109,6 @@ def test_invalid_tol_exit_2(z_module_path, capsys):
     assert code == 2 and "--tol" in err
 
 
-def test_invalid_threads_exit_2(z_module_path, capsys, monkeypatch):
-    monkeypatch.setenv("OREDIM_THREADS", "zero")
-    code, _, err = run(capsys, ["approx", "--input", z_module_path])
-    assert code == 2 and "OREDIM_THREADS" in err
-
-
-def test_determinism_across_thread_counts(z_module_path, capsys, monkeypatch):
-    outputs = []
-    for threads in (None, "1", "3"):
-        if threads is None:
-            monkeypatch.delenv("OREDIM_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("OREDIM_THREADS", threads)
-        code, out, _ = run(capsys, ["approx", "--input", z_module_path,
-                                    "--levels", "2,4,8", "--format", "json"])
-        assert code == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1] == outputs[2]
-
-
 def test_vdim_command(dihedral_module_path, capsys):
     code, out, _ = run(capsys, ["vdim", "--input", dihedral_module_path])
     assert code == 0

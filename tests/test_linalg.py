@@ -1,14 +1,15 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import oracle_laurent_rank, oracle_rank, oracle_rank_q
 from oredim import linalg
 from oredim.errors import UnsupportedOperationError
 from oredim.fields import PrimeField, Rationals
-from oredim.linalg import (LaurentMatrix, PlainMatrix, extension_field,
-                           poly_divexact, poly_mul, rank_dense, rank_laurent,
+from oredim.linalg import (LaurentMatrix, PlainMatrix, poly_add, poly_divexact,
+                           poly_monomial_shift, poly_mul, rank_dense, rank_laurent,
                            rank_laurent_bareiss, rank_laurent_probabilistic,
                            rank_plain, rank_sparse)
 
@@ -332,10 +333,50 @@ def test_probabilistic_zero_and_constant():
 
 
 def test_probabilistic_matches_bareiss_randomized():
+    # bivariate 4x4 with negative exponents: degree bound 8, so the points
+    # come from F_{2^10}, F_{3^6} and F_{5^4}
     rng = random.Random(101)
-    for k in range(30):
-        m = random_laurent(rng, F5, 2, 4, 4)
-        assert rank_laurent_probabilistic(m, seed=k).rank == rank_laurent_bareiss(m)
+    for field in (F5, F2, F3):
+        for k in range(30):
+            m = random_laurent(rng, field, 2, 4, 4)
+            assert rank_laurent_probabilistic(m, seed=k).rank == rank_laurent_bareiss(m)
+
+
+def test_probabilistic_largest_prime_matches_bareiss():
+    # p = 2^31 - 1 is the largest prime PrimeField accepts, so the points
+    # lie in F_p itself.  Every coefficient p - 1 makes each product of a
+    # coefficient and a monomial value close to 2^62, so an entry's terms
+    # overflow int64 unless each product is reduced before summing.
+    p = 2**31 - 1
+    field = PrimeField(p)
+    rng = random.Random(131)
+    for k in range(4):
+        rows = [[{(x,): p - 1 for x in rng.sample(range(-8, 9), 12)}
+                 for _ in range(5)] for _ in range(3)]
+        rows.append([poly_monomial_shift(q, (2,)) for q in rows[0]])
+        rows.append([poly_add(a, poly_monomial_shift(b, (-1,)), field)
+                     for a, b in zip(rows[1], rows[2])])
+        m = LaurentMatrix(field, 1, 5, 5, {(i, j): q for i, row in enumerate(rows)
+                                           for j, q in enumerate(row)})
+        report = rank_laurent_probabilistic(m, seed=k)
+        assert report.rank == rank_laurent_bareiss(m) == 3
+        assert report.failure_bound == Fraction(5 * m.max_entry_degree(), p - 1) ** 3
+
+
+def test_probabilistic_huge_exponents_at_largest_prime():
+    # exponents near 10^17 push the sample space past p^2, so the points
+    # come from F_{p^3} with p = 2^31 - 1: there a plain int64 product of
+    # two 3x3 blocks of residues could overflow
+    p = 2**31 - 1
+    n = 10**17
+    a = {(0,): 1, (3,): p - 1}
+    b = {(1,): p - 1, (n,): 1}
+    m = LaurentMatrix(PrimeField(p), 1, 2, 2, {
+        (0, 0): a, (0, 1): b,
+        (1, 0): poly_monomial_shift(a, (n,)), (1, 1): poly_monomial_shift(b, (n,))})
+    report = rank_laurent_probabilistic(m)
+    assert report.rank == 1
+    assert report.failure_bound == Fraction(2 * 2 * n, p ** 3 - 1) ** 3
 
 
 def test_probabilistic_rational_field():
@@ -414,22 +455,32 @@ def test_rank_plain_dispatcher():
 # -- extension fields -----------------------------------------------------------
 
 def test_extension_field_f4():
-    ext = extension_field(2, 2)
-    assert ext.modulus == [1, 1, 1]  # x^2 + x + 1, the first irreducible
-    a = (0, 1)  # the generator x
-    assert ext.mul(a, a) == (1, 1)  # x^2 = x + 1
-    assert ext.mul(a, ext.inv(a)) == ext.one
-    assert ext.pow(a, 3) == ext.one  # F_4^* has order 3
+    assert linalg._find_irreducible(2, 2) == [1, 1, 1]  # x^2 + x + 1, the first
+    cpow = linalg._companion_powers(2, 2)
+    x = linalg._multiplication_blocks(np.array([[0, 1]]), cpow, 2)[0]
+    assert (x @ [0, 1] % 2).tolist() == [1, 1]  # x * x = x + 1
+    assert (linalg._matrix_powers(x, [3], 2)[0] == np.eye(2)).all()  # F_4^* has order 3
 
 
-def test_extension_field_inverse_randomized():
+def test_extension_field_products_randomized():
     rng = random.Random(127)
     for (p, e) in ((2, 5), (3, 4), (5, 5), (47, 2)):
-        ext = extension_field(p, e)
+        modulus = linalg._find_irreducible(p, e)
+        cpow = linalg._companion_powers(p, e)
         for _ in range(25):
-            a = ext.random_nonzero(rng)
-            assert ext.mul(a, ext.inv(a)) == ext.one
-            assert ext.pow(a, p ** e - 1) == ext.one
+            a = [rng.randrange(p) for _ in range(e)]
+            b = [rng.randrange(p) for _ in range(e)]
+            block = linalg._multiplication_blocks(np.array([a]), cpow, p)[0]
+            assert (block @ b % p).tolist() == linalg._polymulmod(a, b, modulus, p)
+
+
+def test_matmul_mod_exact_at_largest_prime():
+    p = 2**31 - 1
+    rng = random.Random(139)
+    a = [[rng.choice((p - 1, rng.randrange(p))) for _ in range(16)] for _ in range(16)]
+    b = [[rng.choice((p - 1, rng.randrange(p))) for _ in range(16)] for _ in range(16)]
+    want = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+    assert linalg._matmul_mod(np.array(a), np.array(b), p).tolist() == want
 
 
 def test_plain_matrix_validation():
