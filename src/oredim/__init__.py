@@ -24,13 +24,12 @@ from .dimensions import (ApproxReport, ConvergenceTable, DimensionValue,
                          quotient_betti_dim, virtual_ore_dim)
 from .errors import (MismatchError, OredimError, SchemaError,
                      UnsupportedOperationError)
-from .fields import Field, PrimeField, Rationals, Scalar, is_prime
+from .fields import Field, PrimeField, Rationals, is_prime
 from .groupring import (GroupRingElement, GroupRingMatrix, PresentedModule,
                         Sublattice, TranslationSubgroup, compress_to_folner,
-                        induce_to_quotient, restrict_scalars, support_radius,
-                        to_laurent)
+                        induce_to_quotient, restrict_scalars, to_laurent)
 from .groups import (DihedralInfinite, FiniteQuotient, FolnerSet, Group,
-                     Heisenberg, Zd, boundary)
+                     Heisenberg, Zd)
 from .linalg import (LaurentMatrix, PlainMatrix, RankReport, rank_dense,
                      rank_laurent, rank_laurent_bareiss,
                      rank_laurent_probabilistic, rank_plain, rank_sparse)

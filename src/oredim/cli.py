@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import chains, dimensions, jsonio
-from .dimensions import Method, ReportConfig
+from .dimensions import ReportConfig
 from .errors import MismatchError, SchemaError, UnsupportedOperationError
 
 RANK_ALGS = ("auto", "dense", "sparse", "bareiss", "prob")
@@ -49,16 +49,16 @@ class Record:
 CSV_HEADER = ["method", "level", "normalizer", "raw", "normalized", "certified"]
 
 
-def _value_record(value: dimensions.DimensionValue, normalizer: int = 1) -> Record:
-    raw = value.value * normalizer
+def _value_record(value: dimensions.DimensionValue) -> Record:
+    raw = value.value * value.normalizer
     assert raw.denominator == 1
-    return Record(value.method.value, 0, normalizer, int(raw), value.value,
+    return Record(value.method.value, 0, value.normalizer, int(raw), value.value,
                   value.certified)
 
 
 def _table_records(table: dimensions.ConvergenceTable) -> List[Record]:
     return [Record(table.method.value, r.level, r.normalizer, r.raw, r.normalized,
-                   table.certified) for r in table.rows]
+                   True) for r in table.rows]
 
 
 def render(records: List[Record], fmt: str, extra: Optional[dict] = None) -> str:
@@ -154,8 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="agreement tolerance as an exact rational, e.g. 1/20")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--min-level", type=int, default=1,
-                       help="drop table levels below this value")
 
     common(sub.add_parser("ore", help="exact Ore dimension of a Z^d module"))
     common(sub.add_parser("approx", help="all dimension functions side by side"))
@@ -179,15 +177,13 @@ def _run_vdim(args) -> List[Record]:
     subgroup = dimensions.default_subgroup(module.group)
     value = dimensions.virtual_ore_dim(module, subgroup, rank_alg=args.rank_alg,
                                        seed=args.seed)
-    index = dimensions.subgroup_index(module.group, subgroup)
-    return [_value_record(value, normalizer=index)]
+    return [_value_record(value)]
 
 
 def _run_folner(args) -> List[Record]:
     module = jsonio.decode_module(_load_json(args.input))
     levels = _parse_levels(args.levels) if args.levels else list(
         dimensions.DEFAULT_FOLNER_LEVELS)
-    levels = [n for n in levels if n >= args.min_level]
     table = dimensions.elek_truncation_dim(module, levels, rank_alg=args.rank_alg)
     return _table_records(table)
 
@@ -198,17 +194,11 @@ def _run_approx(args):
     config = ReportConfig(
         quotient_levels=tuple(levels) if levels else dimensions.DEFAULT_QUOTIENT_LEVELS,
         folner_levels=tuple(levels) if levels else dimensions.DEFAULT_FOLNER_LEVELS,
-        tol=_parse_tol(args.tol), seed=args.seed, rank_alg=args.rank_alg,
-        min_level=max(1, args.min_level))
+        tol=_parse_tol(args.tol), seed=args.seed, rank_alg=args.rank_alg)
     report = dimensions.approx_report(module, config)
     records = []
     if report.target is not None:
-        if report.target.method is Method.VIRTUAL_ORE:
-            normalizer = dimensions.subgroup_index(
-                module.group, dimensions.default_subgroup(module.group))
-        else:
-            normalizer = 1
-        records.append(_value_record(report.target, normalizer=normalizer))
+        records.append(_value_record(report.target))
     for table in report.tables:
         records.extend(_table_records(table))
     extra = {"tol": jsonio.fraction_to_json(report.tol),
@@ -220,7 +210,6 @@ def _run_homology(args) -> List[Record]:
     complex_ = jsonio.decode_complex(_load_json(args.input))
     levels = _parse_levels(args.levels) if args.levels else list(
         dimensions.DEFAULT_QUOTIENT_LEVELS)
-    levels = [n for n in levels if n >= args.min_level]
     report = chains.homology_report(complex_, levels, rank_alg=args.rank_alg,
                                     seed=args.seed)
     records = []

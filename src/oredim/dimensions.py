@@ -44,6 +44,9 @@ class DimensionValue:
     value: Fraction
     method: Method
     certified: bool
+    # value * normalizer is the raw dimension: the subgroup index for
+    # virtual Ore dimensions, 1 otherwise.
+    normalizer: int = 1
 
     def __post_init__(self):
         if self.value < 0:
@@ -66,8 +69,6 @@ class TableRow:
 class ConvergenceTable:
     method: Method
     rows: Tuple[TableRow, ...]
-    target: Optional[DimensionValue] = None
-    certified: bool = True
 
     def __post_init__(self):
         levels = [r.level for r in self.rows]
@@ -136,7 +137,8 @@ def virtual_ore_dim(module: PresentedModule, subgroup, rank_alg: str = "auto",
     restricted, index = restrict_scalars(module.matrix, subgroup)
     report = rank_laurent(to_laurent(restricted), alg=rank_alg, seed=seed)
     raw = restricted.ncols - report.rank
-    return DimensionValue(Fraction(raw, index), Method.VIRTUAL_ORE, report.certified)
+    return DimensionValue(Fraction(raw, index), Method.VIRTUAL_ORE, report.certified,
+                          index)
 
 
 def default_subgroup(group: Group):
@@ -145,15 +147,6 @@ def default_subgroup(group: Group):
     if isinstance(group, Zd):
         return Sublattice(2)
     return TranslationSubgroup()
-
-
-def subgroup_index(group: Group, subgroup) -> int:
-    if isinstance(group, Zd) and isinstance(subgroup, Sublattice):
-        return subgroup.n ** group.d
-    if isinstance(subgroup, TranslationSubgroup):
-        return 2
-    raise UnsupportedOperationError(
-        f"unsupported subgroup restriction: {group!r} / {subgroup!r}")
 
 
 DEFAULT_QUOTIENT_LEVELS = (2, 4, 8, 16)
@@ -167,16 +160,10 @@ class ReportConfig:
     tol: Fraction = Fraction(1, 20)
     seed: int = 0
     rank_alg: str = "auto"
-    # Levels below this are dropped from tables; a safety knob for models
-    # where early quotients are too coarse.  The built-in models all have
-    # trivial finite-normal-subgroup part, so the default keeps everything.
-    min_level: int = 1
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
-        if self.min_level < 1:
-            raise ValueError("min_level must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -214,11 +201,9 @@ def approx_report(module: PresentedModule, config: ReportConfig = ReportConfig()
         except UnsupportedOperationError:
             target = None
 
-    qlevels = [n for n in config.quotient_levels if n >= config.min_level]
-    flevels = [n for n in config.folner_levels if n >= config.min_level]
     tables = (
-        quotient_betti_dim(module, qlevels, config.rank_alg),
-        elek_truncation_dim(module, flevels, config.rank_alg),
+        quotient_betti_dim(module, config.quotient_levels, config.rank_alg),
+        elek_truncation_dim(module, config.folner_levels, config.rank_alg),
     )
     agreement: Dict[str, bool] = {}
     if target is not None:

@@ -2,17 +2,13 @@
 
 Field elements are plain Python values (int residues in [0, p) for F_p,
 ``Fraction`` in lowest terms for Q); a field object owns the arithmetic.
-This keeps the elimination kernels working on raw machine values.  The
-``Scalar`` wrapper pairs a value with its field for use at API boundaries,
-where mixing fields must fail loudly instead of coercing.
+This keeps the elimination kernels working on raw machine values.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
-
-from .errors import MismatchError
 
 RawScalar = Union[int, Fraction]
 
@@ -80,9 +76,6 @@ class Field:
     def is_zero(self, a) -> bool:
         return a == self.zero
 
-    def scalar(self, value) -> "Scalar":
-        return Scalar(self, self.normalize(value))
-
     def parse_value(self, obj) -> RawScalar:
         """Decode the JSON form of one element (int for F_p, "n/d" for Q)."""
         raise NotImplementedError
@@ -113,10 +106,6 @@ class PrimeField(Field):
         return 1 % self.p
 
     def normalize(self, value) -> int:
-        if isinstance(value, Scalar):
-            if value.field != self:
-                raise MismatchError("field mismatch")
-            return value.value
         if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
                 raise ZeroDivisionError("division by zero")
@@ -169,10 +158,6 @@ class Rationals(Field):
         return Fraction(1)
 
     def normalize(self, value) -> Fraction:
-        if isinstance(value, Scalar):
-            if value.field != self:
-                raise MismatchError("field mismatch")
-            return value.value
         return Fraction(value)
 
     def add(self, a, b):
@@ -210,48 +195,3 @@ class Rationals(Field):
     def __repr__(self):
         return "Q"
 
-
-@dataclass(frozen=True)
-class Scalar:
-    """A field element that knows its field.
-
-    Arithmetic between scalars of different fields raises rather than
-    coercing; construction always reduces to canonical form (residue in
-    [0, p), or a fraction in lowest terms with positive denominator).
-    """
-
-    field: Field
-    value: RawScalar
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.field.normalize(self.value))
-
-    def _check(self, other: "Scalar"):
-        if not isinstance(other, Scalar):
-            raise TypeError(f"expected Scalar, got {type(other).__name__}")
-        if other.field != self.field:
-            raise MismatchError("field mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        return Scalar(self.field, self.field.add(self.value, other.value))
-
-    def __sub__(self, other):
-        self._check(other)
-        return Scalar(self.field, self.field.sub(self.value, other.value))
-
-    def __mul__(self, other):
-        self._check(other)
-        return Scalar(self.field, self.field.mul(self.value, other.value))
-
-    def __neg__(self):
-        return Scalar(self.field, self.field.neg(self.value))
-
-    def inverse(self) -> "Scalar":
-        return Scalar(self.field, self.field.inv(self.value))
-
-    def is_zero(self) -> bool:
-        return self.field.is_zero(self.value)
-
-    def __repr__(self):
-        return f"{self.value}:{self.field!r}"

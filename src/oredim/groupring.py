@@ -47,14 +47,6 @@ class GroupRingElement:
     def zero(cls, field, group):
         return cls(field, group, {})
 
-    @classmethod
-    def one(cls, field, group):
-        return cls(field, group, {group.identity(): field.one})
-
-    @classmethod
-    def monomial(cls, field, group, g, coeff=None):
-        return cls(field, group, {g: field.one if coeff is None else coeff})
-
     def _check(self, other):
         if not isinstance(other, GroupRingElement):
             raise TypeError(f"expected GroupRingElement, got {type(other).__name__}")
@@ -65,12 +57,6 @@ class GroupRingElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def support(self) -> Tuple[Element, ...]:
-        return tuple(sorted(self.terms))
-
-    def coefficient(self, g: Element):
-        return self.terms.get(self.group.check_element(g), self.field.zero)
 
     def __add__(self, other):
         self._check(other)
@@ -107,21 +93,6 @@ class GroupRingElement:
                     out[g] = s
         return GroupRingElement(self.field, self.group, out)
 
-    def scale(self, coeff) -> "GroupRingElement":
-        f = self.field
-        c = f.normalize(coeff)
-        return GroupRingElement(self.field, self.group,
-                                {g: f.mul(v, c) for g, v in self.terms.items()})
-
-    def translate(self, g: Element, side: str = "right") -> "GroupRingElement":
-        """Multiply by the group element g (a unit of k[G]) on one side."""
-        grp = self.group
-        if side == "right":
-            return GroupRingElement(self.field, grp,
-                                    {grp.mul(u, g): v for u, v in self.terms.items()})
-        return GroupRingElement(self.field, grp,
-                                {grp.mul(g, u): v for u, v in self.terms.items()})
-
     def __eq__(self, other):
         return (isinstance(other, GroupRingElement) and self.field == other.field
                 and self.group == other.group and self.terms == other.terms)
@@ -156,31 +127,12 @@ class GroupRingMatrix:
             if not el.is_zero():
                 self.entries[(i, j)] = el
 
-    @classmethod
-    def from_rows(cls, field, group, rows):
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        entries = {}
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for j, el in enumerate(row):
-                if el is not None:
-                    entries[(i, j)] = el
-        return cls(field, group, nrows, ncols, entries)
-
     def entry(self, i, j) -> GroupRingElement:
         el = self.entries.get((i, j))
         return el if el is not None else GroupRingElement.zero(self.field, self.group)
 
     def is_zero(self) -> bool:
         return not self.entries
-
-    def support(self) -> Tuple[Element, ...]:
-        seen = set()
-        for el in self.entries.values():
-            seen.update(el.terms)
-        return tuple(sorted(seen))
 
     def matmul(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
         if other.field != self.field or other.group != self.group:
@@ -207,28 +159,6 @@ class GroupRingMatrix:
         return GroupRingMatrix(self.field, self.group,
                                self.nrows + other.nrows, self.ncols + other.ncols, entries)
 
-    def scale_row(self, i: int, g: Element, coeff=None) -> "GroupRingMatrix":
-        """Multiply row i on the left by the unit coeff*g."""
-        entries = {}
-        for (r, c), el in self.entries.items():
-            if r == i:
-                el = el.translate(g, side="left")
-                if coeff is not None:
-                    el = el.scale(coeff)
-            entries[(r, c)] = el
-        return GroupRingMatrix(self.field, self.group, self.nrows, self.ncols, entries)
-
-    def scale_col(self, j: int, g: Element, coeff=None) -> "GroupRingMatrix":
-        """Multiply column j on the right by the unit coeff*g."""
-        entries = {}
-        for (r, c), el in self.entries.items():
-            if c == j:
-                el = el.translate(g, side="right")
-                if coeff is not None:
-                    el = el.scale(coeff)
-            entries[(r, c)] = el
-        return GroupRingMatrix(self.field, self.group, self.nrows, self.ncols, entries)
-
     def __eq__(self, other):
         return (isinstance(other, GroupRingMatrix) and self.field == other.field
                 and self.group == other.group and self.nrows == other.nrows
@@ -239,33 +169,11 @@ class GroupRingMatrix:
                 f"{self.nrows}x{self.ncols}, nnz={len(self.entries)})")
 
 
-def support_radius(matrix: GroupRingMatrix) -> int:
-    """Diameter of supp(A) united with its inverses, in the word metric.
-
-    The zero matrix has empty support; its radius is 0 by convention.
-    """
-    supp = set(matrix.support())
-    if not supp:
-        return 0
-    grp = matrix.group
-    supp.update(grp.inv(g) for g in set(supp))
-    pts = sorted(supp)
-    radius = 0
-    for a in range(len(pts)):
-        for b in range(a + 1, len(pts)):
-            radius = max(radius, grp.distance(pts[a], pts[b]))
-    return radius
-
-
 @dataclass(frozen=True)
 class PresentedModule:
     """The cokernel of right multiplication by ``matrix`` on kG^r -> kG^s."""
 
     matrix: GroupRingMatrix
-
-    @property
-    def relations(self) -> int:
-        return self.matrix.nrows
 
     @property
     def generators(self) -> int:

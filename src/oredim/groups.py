@@ -9,37 +9,22 @@ Every element is a tuple of integers in a unique normal form:
 * ``Heisenberg`` -- triples (a, b, c) encoding x^a y^b z^c with z = [y, x]
   central; multiplication is (a,b,c)(a',b',c') = (a+a', b+b', c+c'+b*a').
 
-Each model carries a canonical symmetric generating set, the associated
-word metric (closed form for Zd, breadth-first search for the nonabelian
-models, memoized up to radius 8), a Foelner sequence of boxes, and a
-residual chain of finite-index normal subgroups with explicit fundamental
-domains and coset actions.
+Each model carries a canonical symmetric generating set, a Foelner
+sequence of boxes, and a residual chain of finite-index normal subgroups
+with explicit fundamental domains and coset actions.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
-
-from .errors import UnsupportedOperationError
+from typing import Tuple
 
 Element = Tuple[int, ...]
-
-# Word-distance queries outside the cached ball raise; only small support
-# radii occur in practice (matrix supports are small).
-BALL_RADIUS_CAP = 8
-
-_ball_cache: Dict[tuple, Dict[Element, int]] = {}
-
 
 class Group:
     """Common interface of the three group models."""
 
     kind = "?"
-    torsionfree = True
-    # The subgroup generated by finite normal subgroups is trivial in all
-    # three models, so no quotient level has to be discarded.
-    trivial_delta_plus = True
 
     def identity(self) -> Element:
         raise NotImplementedError
@@ -57,53 +42,6 @@ class Group:
     def check_element(self, g) -> Element:
         raise NotImplementedError
 
-    # -- word metric ---------------------------------------------------
-
-    def word_length(self, g: Element) -> int:
-        table = self._distance_table()
-        if g not in table:
-            raise UnsupportedOperationError(
-                f"word length of {g} exceeds the memoized radius {BALL_RADIUS_CAP}")
-        return table[g]
-
-    def distance(self, g: Element, h: Element) -> int:
-        return self.word_length(self.mul(self.inv(g), h))
-
-    def ball(self, radius: int) -> Tuple[Element, ...]:
-        """All elements of word length <= radius, in a fixed order."""
-        if radius < 0:
-            raise ValueError("radius must be nonnegative")
-        if radius > BALL_RADIUS_CAP:
-            raise UnsupportedOperationError(
-                f"ball radius {radius} exceeds the memoized cap {BALL_RADIUS_CAP}")
-        table = self._distance_table()
-        return tuple(sorted(g for g, r in table.items() if r <= radius))
-
-    def _distance_table(self) -> Dict[Element, int]:
-        key = self._cache_key()
-        table = _ball_cache.get(key)
-        if table is None:
-            table = self._bfs_distances(BALL_RADIUS_CAP)
-            _ball_cache[key] = table
-        return table
-
-    def _cache_key(self):
-        return (self.kind,)
-
-    def _bfs_distances(self, radius: int) -> Dict[Element, int]:
-        dist = {self.identity(): 0}
-        frontier = [self.identity()]
-        for r in range(1, radius + 1):
-            nxt = []
-            for g in frontier:
-                for s in self.generators():
-                    h = self.mul(g, s)
-                    if h not in dist:
-                        dist[h] = r
-                        nxt.append(h)
-            frontier = nxt
-        return dist
-
     # -- Foelner sequence and residual chain ---------------------------
 
     def folner_set(self, n: int) -> "FolnerSet":
@@ -111,11 +49,6 @@ class Group:
 
     def quotient(self, level: int) -> "FiniteQuotient":
         raise NotImplementedError
-
-    # -- JSON ----------------------------------------------------------
-
-    def element_to_json(self, g: Element):
-        return list(g)
 
 
 @dataclass(frozen=True)
@@ -155,20 +88,6 @@ class Zd(Group):
             raise ValueError(f"not a Z^{self.d} element: {g}")
         return g
 
-    def word_length(self, g):
-        return sum(abs(a) for a in g)
-
-    def ball(self, radius):
-        if radius < 0:
-            raise ValueError("radius must be nonnegative")
-        rng = range(-radius, radius + 1)
-        return tuple(sorted(
-            v for v in itertools.product(rng, repeat=self.d)
-            if sum(abs(a) for a in v) <= radius))
-
-    def _cache_key(self):
-        return (self.kind, self.d)
-
     def folner_set(self, n: int) -> "FolnerSet":
         _check_level(n)
         elems = [tuple(v) for v in itertools.product(range(n), repeat=self.d)]
@@ -190,7 +109,6 @@ class Zd(Group):
 @dataclass(frozen=True)
 class DihedralInfinite(Group):
     kind = "Dinf"
-    torsionfree = False
 
     def identity(self):
         return (0, 0)
@@ -333,9 +251,6 @@ class FiniteQuotient:
     def coset_of(self, g: Element) -> int:
         return self._coset_of(g)
 
-    def representative(self, c: int) -> Element:
-        return self.domain.elements[c]
-
     def act(self, c: int, g: Element) -> int:
         """Index of the coset (representative of c) * g."""
         return self._coset_of(self.group.mul(self.domain.elements[c], g))
@@ -343,41 +258,8 @@ class FiniteQuotient:
     def action_permutation(self, g: Element) -> Tuple[int, ...]:
         return tuple(self.act(c, g) for c in range(self.index))
 
-    def generator_tables(self) -> Dict[Element, Tuple[int, ...]]:
-        return {s: self.action_permutation(s) for s in self.group.generators()}
-
     def __repr__(self):
         return f"FiniteQuotient({self.group!r}, level={self.level}, index={self.index})"
-
-
-def boundary(folner: FolnerSet, radius: int) -> Tuple[Element, ...]:
-    """Elements within distance `radius` of both the set and its complement.
-
-    Enumerates the radius-neighborhood of the set; an element g satisfies
-    d(g, F) <= R iff g.b lands in F for some b in the R-ball (the canonical
-    generating sets are symmetric, so R-balls are inverse-closed).
-    """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    if radius == 0:
-        return ()
-    group = folner.group
-    ball = group.ball(radius)
-    members = folner._index
-    candidates = {group.mul(f, b) for f in folner for b in ball}
-    out = []
-    for g in candidates:
-        near_inside = False
-        near_outside = False
-        for b in ball:
-            if group.mul(g, b) in members:
-                near_inside = True
-            else:
-                near_outside = True
-            if near_inside and near_outside:
-                out.append(g)
-                break
-    return tuple(sorted(out))
 
 
 # -- JSON descriptors ----------------------------------------------------
@@ -391,11 +273,3 @@ def group_to_json(group: Group) -> dict:
         return {"type": "Heis"}
     raise TypeError(f"unknown group {group!r}")
 
-
-def separating_level(group: Group, g: Element, levels: Iterable[int]):
-    """First level of the residual chain whose quotient separates g from e."""
-    for n in levels:
-        q = group.quotient(n)
-        if q.coset_of(g) != q.coset_of(group.identity()):
-            return n
-    return None

@@ -27,7 +27,6 @@ lower bound and equals the true rank except with the reported probability.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 import random
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .errors import MismatchError, UnsupportedOperationError
+from .errors import UnsupportedOperationError
 from .fields import Field, PrimeField, RawScalar
 
 Poly = Dict[Tuple[int, ...], RawScalar]
@@ -79,17 +78,6 @@ class PlainMatrix:
                 if not field.is_zero(v):
                     self.entries[(i, j)] = v
 
-    @classmethod
-    def from_dense(cls, field, rows):
-        entries = {}
-        ncols = len(rows[0]) if rows else 0
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                entries[(i, j)] = v
-        return cls(field, len(rows), ncols, entries)
-
     def to_dense(self):
         zero = self.field.zero
         rows = [[zero] * self.ncols for _ in range(self.nrows)]
@@ -109,31 +97,6 @@ class PlainMatrix:
     def transpose(self) -> "PlainMatrix":
         return PlainMatrix(self.field, self.ncols, self.nrows,
                            {(j, i): v for (i, j), v in self.entries.items()})
-
-    def matmul(self, other: "PlainMatrix") -> "PlainMatrix":
-        if other.field != self.field:
-            raise MismatchError("field mismatch")
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in matmul")
-        f = self.field
-        by_row: Dict[int, Dict[int, RawScalar]] = {}
-        for (i, k), v in other.entries.items():
-            by_row.setdefault(i, {})[k] = v
-        acc: Dict[Tuple[int, int], RawScalar] = {}
-        for (i, j), v in self.entries.items():
-            for k, w in by_row.get(j, {}).items():
-                key = (i, k)
-                acc[key] = f.add(acc.get(key, f.zero), f.mul(v, w))
-        return PlainMatrix(self.field, self.nrows, other.ncols, acc)
-
-    def block_diag(self, other: "PlainMatrix") -> "PlainMatrix":
-        if other.field != self.field:
-            raise MismatchError("field mismatch")
-        entries = dict(self.entries)
-        for (i, j), v in other.entries.items():
-            entries[(i + self.nrows, j + self.ncols)] = v
-        return PlainMatrix(self.field, self.nrows + other.nrows,
-                           self.ncols + other.ncols, entries)
 
     def __eq__(self, other):
         return (isinstance(other, PlainMatrix) and self.field == other.field
@@ -569,66 +532,6 @@ def rank_laurent_bareiss(m: LaurentMatrix) -> int:
 # companion matrix of f.  Replacing every entry of a matrix over F_{p^e} by
 # that e x e block multiplies its rank by e, so the F_p kernel ranks it.
 
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _polymod(a, mod, p):
-    a = [x % p for x in a]
-    dm = len(mod) - 1
-    lead_inv = pow(mod[-1], -1, p)
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i]
-        if c:
-            f = c * lead_inv % p
-            for k in range(dm + 1):
-                a[i - dm + k] = (a[i - dm + k] - f * mod[k]) % p
-    del a[dm:]
-    return a
-
-
-def _polymulmod(a, b, mod, p):
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] = (prod[i + j] + x * y) % p
-    return _polymod(prod, mod, p) if prod else []
-
-
-def _polypowmod(a, n, mod, p):
-    out = [1]
-    base = list(a)
-    while n:
-        if n & 1:
-            out = _polymulmod(out, base, mod, p)
-        base = _polymulmod(base, base, mod, p)
-        n >>= 1
-    return out
-
-
-def _polygcd(a, b, p):
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        a, b = b, _poly_divmod_rem(a, b, p)
-    return a
-
-
-def _poly_divmod_rem(a, b, p):
-    a = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            f = c * inv % p
-            for k in range(db + 1):
-                a[i - db + k] = (a[i - db + k] - f * b[k]) % p
-    return _poly_trim(a[:db])
-
-
 def _prime_factors(n: int):
     out = set()
     d = 2
@@ -640,44 +543,6 @@ def _prime_factors(n: int):
     if n > 1:
         out.add(n)
     return out
-
-
-@functools.lru_cache(maxsize=None)
-def _find_irreducible(p: int, e: int):
-    """First monic irreducible of degree e over F_p, in lex order of the
-    coefficient tuple (constant term varies fastest).  Deterministic, so a
-    given (p, e) always yields the same extension field."""
-    if e == 1:
-        return [0, 1]
-    factors = _prime_factors(e)
-    for k in range(p ** e):
-        coeffs = []
-        kk = k
-        for _ in range(e):
-            coeffs.append(kk % p)
-            kk //= p
-        f = coeffs + [1]
-        x = [0, 1]
-        # f irreducible iff x^(p^e) == x mod f and gcd(x^(p^(e/q)) - x, f) = 1
-        frob = x
-        powers = {}
-        for step in range(1, e + 1):
-            frob = _polypowmod(frob, p, f, p)
-            powers[step] = frob
-        end = _poly_trim([(a - b) % p for a, b in
-                          itertools.zip_longest(powers[e], x, fillvalue=0)])
-        if end:
-            continue
-        ok = True
-        for q in factors:
-            diff = _poly_trim([(a - b) % p for a, b in
-                               itertools.zip_longest(powers[e // q], x, fillvalue=0)])
-            if len(_polygcd(f, diff, p)) != 1:
-                ok = False
-                break
-        if ok:
-            return f
-    raise ArithmeticError(f"no irreducible of degree {e} over F_{p}")
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -693,13 +558,46 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return ((((hi @ b) % p) << 16) + lo @ b) % p
 
 
-def _companion_powers(p: int, e: int) -> np.ndarray:
-    """C^0, .., C^(e-1) for the companion matrix C of _find_irreducible(p, e),
-    stacked into an (e, e, e) array."""
-    f = _find_irreducible(p, e)
+def _companion(f, p: int) -> np.ndarray:
+    """Companion matrix of the monic f (coefficients, constant first): the
+    matrix of multiplication by x on F_p[x]/(f), so g(C) multiplies by g."""
+    e = len(f) - 1
     c = np.zeros((e, e), dtype=np.int64)
     c[1:, :-1] = np.eye(e - 1, dtype=np.int64)
     c[:, -1] = [-x % p for x in f[:e]]
+    return c
+
+
+@functools.lru_cache(maxsize=None)
+def _find_irreducible(p: int, e: int):
+    """First monic irreducible of degree e over F_p, in lex order of the
+    coefficient tuple (constant term varies fastest).  Deterministic, so a
+    given (p, e) always yields the same extension field.
+
+    Candidates with a root at 0, 1 or -1 have a linear factor and are
+    skipped.  The rest get Rabin's test on the companion matrix C: f is
+    irreducible iff C^(p^e) = C and C^(p^(e/q)) - C, the multiplication
+    by x^(p^(e/q)) - x, is invertible for every prime q dividing e.
+    """
+    if e == 1:
+        return [0, 1]
+    steps = [e // q for q in _prime_factors(e)] + [e]
+    for k in range(p ** e):
+        f = [k // p ** i % p for i in range(e)] + [1]
+        if any(sum(c * a ** i for i, c in enumerate(f)) % p == 0 for a in (0, 1, -1)):
+            continue
+        c = _companion(f, p)
+        frob = _matrix_powers(c, [p ** n for n in steps], p)
+        if (frob[-1] == c).all() and all(
+                _rank_dense_modp(m - c, p) == e for m in frob[:-1]):
+            return f
+    raise ArithmeticError(f"no irreducible of degree {e} over F_{p}")
+
+
+def _companion_powers(p: int, e: int) -> np.ndarray:
+    """C^0, .., C^(e-1) for the companion matrix C of _find_irreducible(p, e),
+    stacked into an (e, e, e) array."""
+    c = _companion(_find_irreducible(p, e), p)
     powers = [np.eye(e, dtype=np.int64)]
     for _ in range(e - 1):
         powers.append(_matmul_mod(c, powers[-1], p))

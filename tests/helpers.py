@@ -15,6 +15,7 @@ from fractions import Fraction
 from oredim.fields import PrimeField, Rationals
 from oredim.groupring import GroupRingElement, GroupRingMatrix
 from oredim.groups import Zd
+from oredim.linalg import PlainMatrix
 from oredim.selftest import textbook_rank as oracle_rank
 
 
@@ -24,6 +25,120 @@ def oracle_rank_modp(int_rows, p):
 
 def oracle_rank_q(rows):
     return oracle_rank([[Fraction(x) for x in r] for r in rows], Rationals())
+
+
+def plain_product(x, y):
+    """The product of two PlainMatrix operands, summed cell by cell."""
+    f = x.field
+    a, b = x.to_dense(), y.to_dense()
+    entries = {}
+    for i in range(x.nrows):
+        for j in range(y.ncols):
+            total = f.zero
+            for k in range(x.ncols):
+                total = f.add(total, f.mul(a[i][k], b[k][j]))
+            entries[(i, j)] = total
+    return PlainMatrix(f, x.nrows, y.ncols, entries)
+
+
+def unit_diagonal(field, group, n, k, g, coeff):
+    """The n x n identity over k[G] with entry (k, k) the unit coeff*g.
+
+    Left multiplication by it scales row k of a matrix by the unit on the
+    left; right multiplication scales column k on the right.
+    """
+    entries = {(i, i): {group.identity(): 1} for i in range(n)}
+    entries[(k, k)] = {g: coeff}
+    return GroupRingMatrix(field, group, n, n, entries)
+
+
+# -- word metric oracle ------------------------------------------------------
+
+def word_ball(group, radius):
+    """Word length of every element of length <= radius, by breadth-first
+    search over the canonical generators."""
+    dist = {group.identity(): 0}
+    frontier = [group.identity()]
+    for r in range(1, radius + 1):
+        nxt = []
+        for g in frontier:
+            for s in group.generators():
+                h = group.mul(g, s)
+                if h not in dist:
+                    dist[h] = r
+                    nxt.append(h)
+        frontier = nxt
+    return dist
+
+
+def folner_boundary(folner, radius):
+    """Elements within word distance `radius` of both the set and its
+    complement, sorted.
+
+    g = f.b with f in F and b in the radius-ball is within the radius of F
+    (the generating sets are symmetric), and every element within the
+    radius of F arises so; it is near the complement iff some g.b leaves F.
+    """
+    if radius == 0:
+        return ()
+    group = folner.group
+    ball = list(word_ball(group, radius))
+    members = set(folner)
+    near = {group.mul(f, b) for f in members for b in ball}
+    return tuple(sorted(g for g in near
+                        if any(group.mul(g, b) not in members for b in ball)))
+
+
+def support_radius(matrix):
+    """Diameter of supp(A) united with its inverses in the word metric; 0
+    for the zero matrix."""
+    group = matrix.group
+    supp = {g for el in matrix.entries.values() for g in el.terms}
+    supp |= {group.inv(g) for g in supp}
+    gaps = {group.mul(group.inv(a), b) for a in supp for b in supp}
+    radius = 0
+    while not gaps <= word_ball(group, radius).keys():
+        radius += 1
+    return radius
+
+
+# -- polynomials over F_p (coefficient lists, constant term first) ------------
+
+def poly_rem(a, mod, p):
+    """a mod the monic polynomial `mod`, padded to deg(mod) coefficients."""
+    a = [x % p for x in a]
+    dm = len(mod) - 1
+    for i in range(len(a) - 1, dm - 1, -1):
+        c = a[i]
+        if c:
+            for k in range(dm + 1):
+                a[i - dm + k] = (a[i - dm + k] - c * mod[k]) % p
+    return (a + [0] * dm)[:dm]
+
+
+def polymulmod(a, b, mod, p):
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    return poly_rem(prod, mod, p)
+
+
+def monic_polys(p, d):
+    """Monic polynomials of degree d over F_p, constant term varying
+    fastest."""
+    for k in range(p ** d):
+        yield [k // p ** i % p for i in range(d)] + [1]
+
+
+def first_irreducible(p, e):
+    """First monic polynomial of degree e, in ``monic_polys`` order, with no
+    monic factor of degree 1..e//2, by trial division."""
+    for f in monic_polys(p, e):
+        if all(any(poly_rem(f, g, p)) for d in range(1, e // 2 + 1)
+               for g in monic_polys(p, d)):
+            return f
+    return None
 
 
 # -- polynomial determinant oracle (for tiny Laurent matrices) -------------

@@ -115,6 +115,31 @@ def test_vdim_command(dihedral_module_path, capsys):
     assert "virtual-ore,0,2,1,1/2,true" in out.splitlines()
 
 
+def test_vdim_command_plane_pins_index_normalizer(tmp_path, capsys):
+    # [z1-1, z2-1] over F_2 restricted to (2Z)^2: index 4, dimension 0
+    group = Zd(2)
+    matrix = GroupRingMatrix(F2, group, 1, 2, {
+        (0, 0): GroupRingElement(F2, group, {(1, 0): 1, (0, 0): -1}),
+        (0, 1): GroupRingElement(F2, group, {(0, 1): 1, (0, 0): -1})})
+    path = write_json(tmp_path / "plane.json", encode_matrix(matrix))
+    code, out, _ = run(capsys, ["vdim", "--input", path])
+    assert code == 0
+    assert out.splitlines() == [
+        "method,level,normalizer,raw,normalized,certified",
+        "virtual-ore,0,4,4,1/1,false"]
+
+
+def test_approx_dihedral_target_row(dihedral_module_path, capsys):
+    code, out, _ = run(capsys, ["approx", "--input", dihedral_module_path,
+                                "--levels", "2,4"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1] == "virtual-ore,0,2,1,1/2,true"
+    assert lines[2:] == [
+        "quotient-betti,2,4,2,1/2,true", "quotient-betti,4,8,4,1/2,true",
+        "elek-truncation,2,4,2,1/2,true", "elek-truncation,4,8,4,1/2,true"]
+
+
 def test_folner_command(z_module_path, capsys):
     code, out, _ = run(capsys, ["folner", "--input", z_module_path,
                                 "--levels", "4,8"])

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import oracle_rank, random_zd_matrix
+from helpers import oracle_rank, random_zd_matrix, unit_diagonal
 from oredim.dimensions import (Method, ReportConfig, approx_report,
                                elek_truncation_dim, ore_dim,
                                quotient_betti_dim, virtual_ore_dim)
@@ -61,6 +61,7 @@ def test_ore_of_identity_presentation():
 def test_ore_plane_module():
     v = ore_dim(plane_module(F2))
     assert v.value == 1 and not v.certified
+    assert v.normalizer == 1
 
 
 def test_ore_rejects_other_groups():
@@ -136,6 +137,7 @@ def test_vdim_dihedral_reflection():
     v = virtual_ore_dim(m, TranslationSubgroup())
     assert v.value == Fraction(1, 2) and v.certified
     assert v.method is Method.VIRTUAL_ORE
+    assert v.normalizer == 2
 
 
 def test_vdim_dihedral_translation():
@@ -212,8 +214,8 @@ def test_unit_scaling_invariance():
         base_rows = quotient_betti_dim(m, [2, 4, 8]).rows
         g = (rng.randint(-3, 3),)
         c = rng.randrange(1, 5)
-        for variant in (matrix.scale_row(rng.randrange(2), g, c),
-                        matrix.scale_col(rng.randrange(2), g, c)):
+        for variant in (unit_diagonal(F5, Z1, 2, rng.randrange(2), g, c).matmul(matrix),
+                        matrix.matmul(unit_diagonal(F5, Z1, 2, rng.randrange(2), g, c))):
             mv = PresentedModule(variant)
             assert ore_dim(mv).value == base_ore
             assert virtual_ore_dim(mv, Sublattice(2)).value == base_vdim
@@ -250,6 +252,7 @@ def test_report_dihedral_target_is_vdim():
                                            folner_levels=(4, 8)))
     assert report.target.method is Method.VIRTUAL_ORE
     assert report.target.value == Fraction(1, 2)
+    assert report.target.normalizer == 2
     quotient = report.table(Method.QUOTIENT)
     assert all(r.normalized == Fraction(1, 2) for r in quotient.rows)
     assert report.agreement["quotient-betti"] is True
@@ -264,19 +267,9 @@ def test_report_heisenberg_has_no_target():
     assert all(r.normalized == 1 for t in report.tables for r in t.rows)
 
 
-def test_report_min_level_filters():
-    m = one_by_one(F2, Z1, {(1,): 1, (0,): 1})
-    report = approx_report(m, ReportConfig(quotient_levels=(2, 4, 8),
-                                           folner_levels=(2, 4, 8),
-                                           min_level=4))
-    assert [r.level for r in report.table(Method.QUOTIENT).rows] == [4, 8]
-
-
 def test_report_config_validation():
     with pytest.raises(ValueError):
         ReportConfig(tol=Fraction(0))
-    with pytest.raises(ValueError):
-        ReportConfig(min_level=0)
 
 
 def test_rational_coefficients_supported():

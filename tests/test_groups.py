@@ -3,10 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_element
-from oredim.errors import UnsupportedOperationError
-from oredim.groups import (DihedralInfinite, Heisenberg, Zd, boundary,
-                           separating_level)
+from helpers import folner_boundary, random_element, word_ball
+from oredim.groups import DihedralInfinite, Heisenberg, Zd
 
 Z1 = Zd(1)
 Z2 = Zd(2)
@@ -67,41 +65,39 @@ def test_element_validation():
         HEIS.check_element((1, 2))
 
 
-# -- word metric -------------------------------------------------------------
+# -- word metric (the breadth-first oracle in helpers) -----------------------
 
 def test_zd_distance_is_l1():
-    assert Z2.distance((0, 0), (2, -1)) == 3
-    assert Z1.word_length((-4,)) == 4
+    for g, length in word_ball(Z2, 4).items():
+        assert length == sum(abs(a) for a in g)
+    assert word_ball(Z1, 4)[(-4,)] == 4
 
 
 def test_dihedral_generator_distance():
-    assert DINF.word_length((0, 1)) == 1
-    assert DINF.word_length((3, 0)) == 3
-    assert DINF.word_length((2, 1)) == 3
+    lengths = word_ball(DINF, 3)
+    assert lengths[(0, 1)] == 1
+    assert lengths[(3, 0)] == 3
+    assert lengths[(2, 1)] == 3
 
 
 def test_heisenberg_central_generator_distance():
-    assert HEIS.word_length((0, 0, 1)) == 4
-
-
-def test_word_length_cap_errors():
-    with pytest.raises(UnsupportedOperationError):
-        HEIS.word_length((8, 8, 60))
-    with pytest.raises(UnsupportedOperationError):
-        DINF.ball(9)
+    lengths = word_ball(HEIS, 4)
+    assert lengths[(0, 0, 1)] == 4
+    assert (0, 0, 1) not in word_ball(HEIS, 3)
 
 
 @pytest.mark.parametrize("group", (DINF, HEIS))
 def test_bfs_metric_symmetry(group):
     # |g| = |g^{-1}| since generating sets are symmetric
-    for g in group.ball(4):
-        assert group.word_length(g) == group.word_length(group.inv(g))
+    lengths = word_ball(group, 4)
+    for g, length in lengths.items():
+        assert lengths[group.inv(g)] == length
 
 
 def test_ball_sizes_z():
-    assert len(Z1.ball(3)) == 7
-    assert len(Z2.ball(1)) == 5
-    assert len(Z2.ball(2)) == 13
+    assert len(word_ball(Z1, 3)) == 7
+    assert len(word_ball(Z2, 1)) == 5
+    assert len(word_ball(Z2, 2)) == 13
 
 
 # -- Foelner sets ------------------------------------------------------------
@@ -127,19 +123,19 @@ def test_folner_rejects_level_zero():
 
 def test_boundary_interval_example():
     f = Z1.folner_set(10)
-    assert boundary(f, 2) == ((-2,), (-1,), (0,), (1,), (8,), (9,), (10,), (11,))
+    assert folner_boundary(f, 2) == ((-2,), (-1,), (0,), (1,), (8,), (9,), (10,), (11,))
 
 
 def test_boundary_radius_zero_empty():
     for group in MODELS:
-        assert boundary(group.folner_set(3), 0) == ()
+        assert folner_boundary(group.folner_set(3), 0) == ()
 
 
 def test_boundary_square_count():
     # interior shell n^2-(n-2)^2 plus the 4n exterior cells at l1-distance
     # exactly 1 (corners sit at distance 2 and are excluded)
     for n in (2, 3, 4, 6):
-        got = boundary(Z2.folner_set(n), 1)
+        got = folner_boundary(Z2.folner_set(n), 1)
         assert len(got) == n * n - (n - 2) * (n - 2) + 4 * n
         # cross-check by direct enumeration over a window
         expected = set()
@@ -166,7 +162,7 @@ def test_folner_property_decay(group, levels):
         ratios = []
         for n in levels:
             f = group.folner_set(n)
-            ratios.append(Fraction(len(boundary(f, radius)), len(f)))
+            ratios.append(Fraction(len(folner_boundary(f, radius)), len(f)))
         assert all(a > b for a, b in zip(ratios, ratios[1:])), (group, radius, ratios)
         if isinstance(group, Zd):
             for n, ratio in zip(levels, ratios):
@@ -194,16 +190,16 @@ def test_fundamental_domain_bijection(group, level):
     assert len(q.domain) == q.index
     seen = sorted(q.coset_of(g) for g in q.domain)
     assert seen == list(range(q.index))
-    for c in range(q.index):
-        assert q.coset_of(q.representative(c)) == c
+    for c, g in enumerate(q.domain.elements):
+        assert q.coset_of(g) == c
 
 
 @pytest.mark.parametrize("group,level", [
     (Z1, 6), (Z2, 4), (DINF, 5), (HEIS, 3)])
 def test_generator_actions_are_permutations(group, level):
     q = group.quotient(level)
-    for g, perm in q.generator_tables().items():
-        assert sorted(perm) == list(range(q.index)), g
+    for g in group.generators():
+        assert sorted(q.action_permutation(g)) == list(range(q.index)), g
 
 
 @pytest.mark.parametrize("group", MODELS)
@@ -231,11 +227,13 @@ def test_residual_chain_nesting(group):
 
 @pytest.mark.parametrize("group", MODELS)
 def test_quotients_separate_short_elements(group):
-    levels = (2, 4, 8, 16, 32)
-    for g in group.ball(3):
+    # g acts trivially on G/G_n exactly when g lies in the normal G_n
+    quotients = [group.quotient(n) for n in (2, 4, 8, 16, 32)]
+    for g in word_ball(group, 3):
         if g == group.identity():
             continue
-        assert separating_level(group, g, levels) is not None, g
+        assert any(q.action_permutation(g) != tuple(range(q.index))
+                   for q in quotients), g
 
 
 def test_heisenberg_quotient_is_congruence_kernel():

@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import oracle_laurent_rank, oracle_rank, oracle_rank_q
+from helpers import (first_irreducible, oracle_laurent_rank, oracle_rank,
+                     oracle_rank_q, polymulmod)
 from oredim import linalg
 from oredim.errors import UnsupportedOperationError
 from oredim.fields import PrimeField, Rationals
@@ -20,7 +21,9 @@ Q = Rationals()
 
 
 def dense(field, rows):
-    return PlainMatrix.from_dense(field, rows)
+    return PlainMatrix(field, len(rows), len(rows[0]) if rows else 0,
+                       {(i, j): v for i, row in enumerate(rows)
+                        for j, v in enumerate(row)})
 
 
 def random_laurent(rng, field, nvars, nrows, ncols, deg=1, density=0.7):
@@ -244,9 +247,11 @@ def test_plain_rank_invariances():
 def test_block_diag_rank_additive():
     rng = random.Random(83)
     for _ in range(10):
-        a = dense(F3, [[rng.randrange(3) for _ in range(3)] for _ in range(2)])
-        b = dense(F3, [[rng.randrange(3) for _ in range(2)] for _ in range(4)])
-        assert rank_dense(a.block_diag(b)) == rank_dense(a) + rank_dense(b)
+        a = [[rng.randrange(3) for _ in range(3)] for _ in range(2)]
+        b = [[rng.randrange(3) for _ in range(2)] for _ in range(4)]
+        diag = [row + [0, 0] for row in a] + [[0, 0, 0] + row for row in b]
+        assert rank_dense(dense(F3, diag)) == \
+            rank_dense(dense(F3, a)) + rank_dense(dense(F3, b))
 
 
 def test_integer_matrix_rank_stable_across_fields():
@@ -471,7 +476,13 @@ def test_extension_field_products_randomized():
             a = [rng.randrange(p) for _ in range(e)]
             b = [rng.randrange(p) for _ in range(e)]
             block = linalg._multiplication_blocks(np.array([a]), cpow, p)[0]
-            assert (block @ b % p).tolist() == linalg._polymulmod(a, b, modulus, p)
+            assert (block @ b % p).tolist() == polymulmod(a, b, modulus, p)
+
+
+@pytest.mark.parametrize("p,top", [(2, 14), (3, 9), (5, 5), (47, 2)])
+def test_find_irreducible_matches_trial_division(p, top):
+    for e in range(2, top + 1):
+        assert linalg._find_irreducible(p, e) == first_irreducible(p, e), (p, e)
 
 
 def test_matmul_mod_exact_at_largest_prime():
