@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .dimensions import DEFAULT_QUOTIENT_LEVELS, resolve_levels
 from .errors import UnsupportedOperationError
 from .fields import Field, PrimeField, Rationals
 from .groupring import GroupRingElement, GroupRingMatrix, induce_to_quotient, to_laurent
@@ -83,14 +84,13 @@ class HomologyReport:
     certified: bool = True
 
 
-def quotient_homology(complex_: FreeChainComplex, levels: Sequence[int],
+def quotient_homology(complex_: FreeChainComplex,
+                      levels: Optional[Sequence[int]] = None,
                       rank_alg: str = "auto") -> HomologyReport:
-    """Homology dimensions of the induced complex at each quotient level."""
-    levels = sorted(set(int(n) for n in levels))
-    if not levels or levels[0] < 1:
-        raise ValueError("levels must be positive")
+    """Homology dimensions of the induced complex at each quotient level;
+    ``levels`` defaults to the group's ``DEFAULT_QUOTIENT_LEVELS``."""
     rows = []
-    for n in levels:
+    for n in resolve_levels(levels, DEFAULT_QUOTIENT_LEVELS, complex_.group):
         quotient = complex_.group.quotient(n)
         idx = quotient.index
         ranks_of = [0] * (complex_.top + 2)
@@ -107,7 +107,8 @@ def quotient_homology(complex_: FreeChainComplex, levels: Sequence[int],
     return HomologyReport(complex_.ranks, tuple(rows))
 
 
-def homology_report(complex_: FreeChainComplex, levels: Sequence[int],
+def homology_report(complex_: FreeChainComplex,
+                    levels: Optional[Sequence[int]] = None,
                     rank_alg: str = "auto", seed: int = 0) -> HomologyReport:
     """Quotient homology table, with the exact Ore row filled in whenever
     the group ring admits it (Z^d only)."""

@@ -16,7 +16,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import chains, dimensions, jsonio
 from .dimensions import ReportConfig
@@ -109,7 +109,10 @@ def _load_json(path: str):
         raise SchemaError(path, f"invalid JSON: {exc}") from None
 
 
-def _parse_levels(text: str) -> List[int]:
+def _parse_levels(text: Optional[str]) -> Optional[Tuple[int, ...]]:
+    """The levels given on the command line, or None for the group default."""
+    if not text:
+        return None
     try:
         levels = [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
@@ -118,7 +121,7 @@ def _parse_levels(text: str) -> List[int]:
         raise SchemaError(
             "--levels",
             f"levels must be strictly increasing positive integers: {text!r}")
-    return levels
+    return tuple(levels)
 
 
 def _parse_tol(text: str) -> Fraction:
@@ -182,18 +185,16 @@ def _run_vdim(args) -> List[Record]:
 
 def _run_folner(args) -> List[Record]:
     module = jsonio.decode_module(_load_json(args.input))
-    levels = _parse_levels(args.levels) if args.levels else list(
-        dimensions.DEFAULT_FOLNER_LEVELS)
-    table = dimensions.elek_truncation_dim(module, levels, rank_alg=args.rank_alg)
+    table = dimensions.elek_truncation_dim(module, _parse_levels(args.levels),
+                                           rank_alg=args.rank_alg)
     return _table_records(table)
 
 
 def _run_approx(args):
     module = jsonio.decode_module(_load_json(args.input))
-    levels = _parse_levels(args.levels) if args.levels else None
+    levels = _parse_levels(args.levels)
     config = ReportConfig(
-        quotient_levels=tuple(levels) if levels else dimensions.DEFAULT_QUOTIENT_LEVELS,
-        folner_levels=tuple(levels) if levels else dimensions.DEFAULT_FOLNER_LEVELS,
+        quotient_levels=levels, folner_levels=levels,
         tol=_parse_tol(args.tol), seed=args.seed, rank_alg=args.rank_alg)
     report = dimensions.approx_report(module, config)
     records = []
@@ -208,10 +209,8 @@ def _run_approx(args):
 
 def _run_homology(args) -> List[Record]:
     complex_ = jsonio.decode_complex(_load_json(args.input))
-    levels = _parse_levels(args.levels) if args.levels else list(
-        dimensions.DEFAULT_QUOTIENT_LEVELS)
-    report = chains.homology_report(complex_, levels, rank_alg=args.rank_alg,
-                                    seed=args.seed)
+    report = chains.homology_report(complex_, _parse_levels(args.levels),
+                                    rank_alg=args.rank_alg, seed=args.seed)
     records = []
     if report.ore is not None:
         for i, v in enumerate(report.ore):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import UnsupportedOperationError
 from .groupring import (PresentedModule, Sublattice, TranslationSubgroup,
@@ -79,8 +79,20 @@ class ConvergenceTable:
         return self.rows[-1].normalized if self.rows else None
 
 
-def _check_levels(levels: Sequence[int]):
-    levels = list(levels)
+# Default levels of each group model, keyed by ``Group.kind``.  A
+# Heisenberg quotient has index n^3 and a Heisenberg Foelner box n^4
+# elements, so its levels stay small: at level 32 the box alone holds about
+# 10^6 elements.
+DEFAULT_QUOTIENT_LEVELS = {"Zd": (2, 4, 8, 16), "Dinf": (2, 4, 8, 16),
+                           "Heis": (2, 4, 6, 8)}
+DEFAULT_FOLNER_LEVELS = {"Zd": (4, 8, 16, 32), "Dinf": (4, 8, 16, 32),
+                         "Heis": (2, 4, 6, 8)}
+
+
+def resolve_levels(levels: Optional[Sequence[int]], defaults, group: Group) -> List[int]:
+    """``levels``, or the group's entry in ``defaults`` when it is None,
+    checked to be strictly increasing positive integers."""
+    levels = list(defaults[group.kind] if levels is None else levels)
     if not levels:
         raise ValueError("need at least one level")
     if levels != sorted(set(levels)) or levels[0] < 1:
@@ -98,10 +110,12 @@ def ore_dim(module: PresentedModule, rank_alg: str = "auto", seed: int = 0) -> D
     return DimensionValue(value, Method.ORE, report.certified)
 
 
-def elek_truncation_dim(module: PresentedModule, levels: Sequence[int],
+def elek_truncation_dim(module: PresentedModule,
+                        levels: Optional[Sequence[int]] = None,
                         rank_alg: str = "auto") -> ConvergenceTable:
-    """Dimensions of Foelner-truncated cokernels, normalized by |F_n|."""
-    levels = _check_levels(levels)
+    """Dimensions of Foelner-truncated cokernels, normalized by |F_n|;
+    ``levels`` defaults to the group's ``DEFAULT_FOLNER_LEVELS``."""
+    levels = resolve_levels(levels, DEFAULT_FOLNER_LEVELS, module.group)
     matrix = module.matrix
     s = module.generators
 
@@ -114,10 +128,12 @@ def elek_truncation_dim(module: PresentedModule, levels: Sequence[int],
     return ConvergenceTable(Method.ELEK, tuple(row(n) for n in levels))
 
 
-def quotient_betti_dim(module: PresentedModule, levels: Sequence[int],
+def quotient_betti_dim(module: PresentedModule,
+                       levels: Optional[Sequence[int]] = None,
                        rank_alg: str = "auto") -> ConvergenceTable:
-    """Normalized Betti numbers of the module along the residual chain."""
-    levels = _check_levels(levels)
+    """Normalized Betti numbers of the module along the residual chain;
+    ``levels`` defaults to the group's ``DEFAULT_QUOTIENT_LEVELS``."""
+    levels = resolve_levels(levels, DEFAULT_QUOTIENT_LEVELS, module.group)
     matrix = module.matrix
     s = module.generators
 
@@ -149,14 +165,11 @@ def default_subgroup(group: Group):
     return TranslationSubgroup()
 
 
-DEFAULT_QUOTIENT_LEVELS = (2, 4, 8, 16)
-DEFAULT_FOLNER_LEVELS = (4, 8, 16, 32)
-
-
 @dataclass(frozen=True)
 class ReportConfig:
-    quotient_levels: Tuple[int, ...] = DEFAULT_QUOTIENT_LEVELS
-    folner_levels: Tuple[int, ...] = DEFAULT_FOLNER_LEVELS
+    # None stands for the module's group default.
+    quotient_levels: Optional[Tuple[int, ...]] = None
+    folner_levels: Optional[Tuple[int, ...]] = None
     tol: Fraction = Fraction(1, 20)
     seed: int = 0
     rank_alg: str = "auto"

@@ -12,6 +12,15 @@ rank kernel can chew on:
   whitelisted finite-index subgroup H and rewrite each entry as an m x m
   block over k[H] (m = [G:H]).
 
+There is one loop per output kind.  The two plain-matrix transports share
+``_transport`` and differ only in how a product ``f * g`` is located in
+the basis: by its coset, or by its position in the Foelner box (outside
+the box it is dropped).  ``restrict_scalars`` runs one loop for both
+supported subgroups, each the kernel of a quotient whose fundamental
+domain gives the coset representatives.  These loops, like the ring
+arithmetic, only add raw coefficients: the ``PlainMatrix`` and
+``GroupRingElement`` constructors reduce into the field and drop zeros.
+
 All plain matrices here act on row vectors, so the matrix of a composition
 is the product of the matrices in application order.
 """
@@ -60,20 +69,14 @@ class GroupRingElement:
 
     def __add__(self, other):
         self._check(other)
-        f = self.field
         out = dict(self.terms)
         for g, v in other.terms.items():
-            s = f.add(out.get(g, f.zero), v)
-            if f.is_zero(s):
-                out.pop(g, None)
-            else:
-                out[g] = s
+            out[g] = out.get(g, 0) + v
         return GroupRingElement(self.field, self.group, out)
 
     def __neg__(self):
-        f = self.field
         return GroupRingElement(self.field, self.group,
-                                {g: f.neg(v) for g, v in self.terms.items()})
+                                {g: -v for g, v in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -81,16 +84,12 @@ class GroupRingElement:
     def __mul__(self, other):
         """Convolution: (ab)(g) = sum over uv = g of a(u) b(v)."""
         self._check(other)
-        f, grp = self.field, self.group
+        mul = self.group.mul
         out: Dict[Element, object] = {}
         for u, a in self.terms.items():
             for v, b in other.terms.items():
-                g = grp.mul(u, v)
-                s = f.add(out.get(g, f.zero), f.mul(a, b))
-                if f.is_zero(s):
-                    out.pop(g, None)
-                else:
-                    out[g] = s
+                g = mul(u, v)
+                out[g] = out.get(g, 0) + a * b
         return GroupRingElement(self.field, self.group, out)
 
     def __eq__(self, other):
@@ -200,23 +199,7 @@ def induce_to_quotient(matrix: GroupRingMatrix, quotient: FiniteQuotient) -> Pla
     """
     if matrix.group != quotient.group:
         raise MismatchError("group mismatch")
-    field = matrix.field
-    n = quotient.index
-    acc: Dict[Tuple[int, int], object] = {}
-    perms: Dict[Element, Tuple[int, ...]] = {}
-    for (i, j), el in matrix.entries.items():
-        for g, a in el.terms.items():
-            perm = perms.get(g)
-            if perm is None:
-                perm = perms[g] = quotient.action_permutation(g)
-            for c in range(n):
-                key = (i * n + c, j * n + perm[c])
-                s = field.add(acc.get(key, field.zero), a)
-                if field.is_zero(s):
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
-    return PlainMatrix(field, matrix.nrows * n, matrix.ncols * n, acc)
+    return _transport(matrix, quotient.domain.elements, quotient.coset_of)
 
 
 def compress_to_folner(matrix: GroupRingMatrix, folner: FolnerSet) -> PlainMatrix:
@@ -227,22 +210,29 @@ def compress_to_folner(matrix: GroupRingMatrix, folner: FolnerSet) -> PlainMatri
     """
     if matrix.group != folner.group:
         raise MismatchError("group mismatch")
-    field = matrix.field
-    grp = matrix.group
-    size = len(folner)
+    return _transport(matrix, folner.elements, folner.index)
+
+
+def _transport(matrix: GroupRingMatrix, elements, locate) -> PlainMatrix:
+    """The plain matrix whose row (i, u) gets entry (i, j)'s coefficient at
+    g on column (j, locate(elements[u] * g)); ``locate`` returns None for
+    a product outside the basis, and that term is dropped.  The column
+    list of each distinct g is computed once."""
+    mul = matrix.group.mul
+    n = len(elements)
+    targets: Dict[Element, list] = {}
     acc: Dict[Tuple[int, int], object] = {}
     for (i, j), el in matrix.entries.items():
+        row, col = i * n, j * n
         for g, a in el.terms.items():
-            for u, f in enumerate(folner.elements):
-                target = grp.mul(f, g)
-                if target in folner:
-                    key = (i * size + u, j * size + folner.index(target))
-                    s = field.add(acc.get(key, field.zero), a)
-                    if field.is_zero(s):
-                        acc.pop(key, None)
-                    else:
-                        acc[key] = s
-    return PlainMatrix(field, matrix.nrows * size, matrix.ncols * size, acc)
+            cols = targets.get(g)
+            if cols is None:
+                cols = targets[g] = [locate(mul(f, g)) for f in elements]
+            for u, v in enumerate(cols):
+                if v is not None:
+                    key = (row + u, col + v)
+                    acc[key] = acc.get(key, 0) + a
+    return PlainMatrix(matrix.field, matrix.nrows * n, matrix.ncols * n, acc)
 
 
 @dataclass(frozen=True)
@@ -271,66 +261,28 @@ def restrict_scalars(matrix: GroupRingMatrix, subgroup) -> Tuple[GroupRingMatrix
     is again a matrix over one of the built-in models.
     """
     group = matrix.group
+    # H is the kernel of a quotient in the residual chain: (nZ)^d of
+    # Z^d/(nZ)^d, and <z> of D_inf/<z^1>.  So x = h.v with v the domain
+    # element of x's coset, and h is identified with a Z^d element by
+    # dividing the first d (translation) coordinates of x by n.
     if isinstance(group, Zd) and isinstance(subgroup, Sublattice):
-        return _restrict_lattice(matrix, subgroup.n), subgroup.n ** group.d
-    if isinstance(group, DihedralInfinite) and isinstance(subgroup, TranslationSubgroup):
-        return _restrict_dihedral(matrix), 2
-    raise UnsupportedOperationError(
-        f"unsupported subgroup restriction: {group!r} / {subgroup!r}")
-
-
-def _restrict_lattice(matrix: GroupRingMatrix, n: int) -> GroupRingMatrix:
-    import itertools
-
-    group: Zd = matrix.group
-    field = matrix.field
-    d = group.d
-    reps = sorted(itertools.product(range(n), repeat=d))
-    rep_index = {r: k for k, r in enumerate(reps)}
-    m = len(reps)
-    new_group = Zd(d)
+        quotient, d = group.quotient(subgroup.n), group.d
+    elif isinstance(group, DihedralInfinite) and isinstance(subgroup, TranslationSubgroup):
+        quotient, d = group.quotient(1), 1
+    else:
+        raise UnsupportedOperationError(
+            f"unsupported subgroup restriction: {group!r} / {subgroup!r}")
+    n, m = quotient.level, quotient.index
     acc: Dict[Tuple[int, int], Dict[Element, object]] = {}
     for (i, j), el in matrix.entries.items():
-        for t, a in el.terms.items():
-            for u in reps:
-                total = tuple(x + y for x, y in zip(u, t))
-                v = tuple(x % n for x in total)
-                w = tuple(x // n for x in total)
-                key = (i * m + rep_index[u], j * m + rep_index[v])
-                bucket = acc.setdefault(key, {})
-                s = field.add(bucket.get(w, field.zero), a)
-                if field.is_zero(s):
-                    bucket.pop(w, None)
-                else:
-                    bucket[w] = s
-    entries = {k: GroupRingElement(field, new_group, terms)
-               for k, terms in acc.items() if terms}
-    return GroupRingMatrix(field, new_group, matrix.nrows * m, matrix.ncols * m, entries)
-
-
-def _restrict_dihedral(matrix: GroupRingMatrix) -> GroupRingMatrix:
-    # Left k[<z>]-basis {e, s}: e.(z^t s^eps) lands in column eps with
-    # exponent t; s.(z^t s^eps) = z^(-t) s^(1+eps) lands in column 1-eps
-    # with exponent -t.
-    field = matrix.field
-    new_group = Zd(1)
-    acc: Dict[Tuple[int, int], Dict[Element, object]] = {}
-
-    def put(key, w, a):
-        bucket = acc.setdefault(key, {})
-        s = field.add(bucket.get(w, field.zero), a)
-        if field.is_zero(s):
-            bucket.pop(w, None)
-        else:
-            bucket[w] = s
-
-    for (i, j), el in matrix.entries.items():
-        for (t, eps), a in el.terms.items():
-            put((2 * i + 0, 2 * j + eps), (t,), a)
-            put((2 * i + 1, 2 * j + (1 - eps)), (-t,), a)
-    entries = {k: GroupRingElement(field, new_group, terms)
-               for k, terms in acc.items() if terms}
-    return GroupRingMatrix(field, new_group, matrix.nrows * 2, matrix.ncols * 2, entries)
+        for g, a in el.terms.items():
+            for k, u in enumerate(quotient.domain.elements):
+                x = group.mul(u, g)
+                h = tuple(c // n for c in x[:d])
+                bucket = acc.setdefault((i * m + k, j * m + quotient.coset_of(x)), {})
+                bucket[h] = bucket.get(h, 0) + a
+    return GroupRingMatrix(matrix.field, Zd(d), matrix.nrows * m,
+                           matrix.ncols * m, acc), m
 
 
 def to_laurent(matrix: GroupRingMatrix) -> LaurentMatrix:

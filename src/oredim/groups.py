@@ -10,14 +10,23 @@ Every element is a tuple of integers in a unique normal form:
   central; multiplication is (a,b,c)(a',b',c') = (a+a', b+b', c+c'+b*a').
 
 Each model carries a canonical symmetric generating set, a Foelner
-sequence of boxes, and a residual chain of finite-index normal subgroups
-with explicit fundamental domains and coset actions.
+sequence and a residual chain of finite-index normal subgroups.  In all
+three models both are coordinate boxes in the normal form:
+
+* the Foelner set ``F_n`` is the box ``0 <= g[k] < sizes[k]`` in lex
+  order, with sizes ``(n,)*d`` on Z^d, ``(n, 2)`` on D_inf and
+  ``(n, n, n^2)`` on H;
+* the quotient ``G/G_n`` is reduction of the coordinates mod ``moduli``,
+  a homomorphism because each product rule commutes with that reduction;
+  the moduli are ``(n,)*d``, ``(n, 2)`` and ``(n, n, n)``, the
+  fundamental domain is the box of the same sizes, and a coset is the box
+  index of ``g mod moduli``.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 Element = Tuple[int, ...]
 
@@ -89,21 +98,10 @@ class Zd(Group):
         return g
 
     def folner_set(self, n: int) -> "FolnerSet":
-        _check_level(n)
-        elems = [tuple(v) for v in itertools.product(range(n), repeat=self.d)]
-        return FolnerSet(self, n, tuple(sorted(elems)))
+        return FolnerSet(self, n, (n,) * self.d)
 
     def quotient(self, level: int) -> "FiniteQuotient":
-        _check_level(level)
-        domain = self.folner_set(level)
-
-        def coset_of(g, n=level, d=self.d):
-            idx = 0
-            for a in g:
-                idx = idx * n + (a % n)
-            return idx
-
-        return FiniteQuotient(self, level, level ** self.d, domain, coset_of)
+        return FiniteQuotient(self, level, (level,) * self.d)
 
 
 @dataclass(frozen=True)
@@ -132,20 +130,11 @@ class DihedralInfinite(Group):
         return g
 
     def folner_set(self, n):
-        _check_level(n)
-        elems = [(a, e) for a in range(n) for e in (0, 1)]
-        return FolnerSet(self, n, tuple(sorted(elems)))
+        return FolnerSet(self, n, (n, 2))
 
     def quotient(self, level):
         # G_n = <z^n> is normal: s z^n s^(-1) = z^(-n).
-        _check_level(level)
-        domain = self.folner_set(level)
-
-        def coset_of(g, n=level):
-            a, e = g
-            return (a % n) * 2 + e
-
-        return FiniteQuotient(self, level, 2 * level, domain, coset_of)
+        return FiniteQuotient(self, level, (level, 2))
 
 
 @dataclass(frozen=True)
@@ -176,43 +165,23 @@ class Heisenberg(Group):
     def folner_set(self, n):
         # The (n, n, n^2) box: commutators shift the central coordinate by
         # O(n) per step, so the relative boundary decays like 1/n.
-        _check_level(n)
-        elems = [(x, y, c)
-                 for x in range(n) for y in range(n) for c in range(n * n)]
-        return FolnerSet(self, n, tuple(sorted(elems)))
+        return FolnerSet(self, n, (n, n, n * n))
 
     def quotient(self, level):
-        # Reduction mod n is a homomorphism because the product rule is
-        # polynomial; its kernel is the congruence subgroup of level n.
-        _check_level(level)
-        n = level
-        elems = [(x, y, c) for x in range(n) for y in range(n) for c in range(n)]
-        domain = FolnerSet(self, level, tuple(sorted(elems)))
-
-        def coset_of(g, n=level):
-            a, b, c = g
-            return ((a % n) * n + (b % n)) * n + (c % n)
-
-        return FiniteQuotient(self, level, n ** 3, domain, coset_of)
-
-
-def _check_level(n: int):
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"level must be a positive integer, got {n}")
+        # The kernel of reduction mod n is the congruence subgroup of level n.
+        return FiniteQuotient(self, level, (level, level, level))
 
 
 class FolnerSet:
-    """A finite subset of a group with a fixed deterministic ordering."""
+    """The box ``0 <= g[k] < sizes[k]`` of a group, in lex order."""
 
-    def __init__(self, group: Group, level: int, elements: Tuple[Element, ...]):
-        if not elements:
-            raise ValueError("Foelner set must be nonempty")
+    def __init__(self, group: Group, level: int, sizes: Tuple[int, ...]):
+        if not isinstance(level, int) or level < 1:
+            raise ValueError(f"level must be a positive integer, got {level}")
         self.group = group
         self.level = level
-        self.elements = elements
-        self._index = {g: i for i, g in enumerate(elements)}
-        if len(self._index) != len(elements):
-            raise ValueError("Foelner set contains duplicates")
+        self.elements = tuple(itertools.product(*map(range, sizes)))
+        self._index = {g: i for i, g in enumerate(self.elements)}
 
     def __len__(self):
         return len(self.elements)
@@ -220,40 +189,41 @@ class FolnerSet:
     def __iter__(self):
         return iter(self.elements)
 
-    def __contains__(self, g):
-        return g in self._index
-
-    def index(self, g) -> int:
-        return self._index[g]
+    def index(self, g) -> Optional[int]:
+        """Position of g in the box, or None if g lies outside it."""
+        return self._index.get(g)
 
     def __repr__(self):
         return f"FolnerSet({self.group!r}, level={self.level}, size={len(self)})"
 
 
 class FiniteQuotient:
-    """A finite quotient G/G_n with fundamental domain and coset action.
+    """The finite quotient G/G_n given by reduction of coordinates mod
+    ``moduli``.
 
-    ``domain`` lists coset representatives in the canonical order;
-    ``coset_of`` maps any group element to the index of its coset.  The
-    right coset action (c, g) -> c.g is well defined because every G_n in
-    the built-in residual chains is normal.
+    ``domain`` is the box of sizes ``moduli``, the coset representatives
+    in the canonical order; ``coset_of`` maps any group element to the
+    index of its coset.  The right coset action (c, g) -> c.g is well
+    defined because every G_n in the built-in residual chains is normal.
     """
 
-    def __init__(self, group, level, index, domain: FolnerSet, coset_of):
+    def __init__(self, group: Group, level: int, moduli: Tuple[int, ...]):
         self.group = group
         self.level = level
-        self.index = index
-        self.domain = domain
-        self._coset_of = coset_of
-        if len(domain) != index:
-            raise ValueError("fundamental domain size does not equal the index")
+        self.moduli = moduli
+        self.domain = FolnerSet(group, level, moduli)
+        self.index = len(self.domain)
 
     def coset_of(self, g: Element) -> int:
-        return self._coset_of(g)
+        """The box index of g mod moduli."""
+        c = 0
+        for a, m in zip(g, self.moduli):
+            c = c * m + a % m
+        return c
 
     def act(self, c: int, g: Element) -> int:
         """Index of the coset (representative of c) * g."""
-        return self._coset_of(self.group.mul(self.domain.elements[c], g))
+        return self.coset_of(self.group.mul(self.domain.elements[c], g))
 
     def action_permutation(self, g: Element) -> Tuple[int, ...]:
         return tuple(self.act(c, g) for c in range(self.index))

@@ -119,7 +119,7 @@ def decode_matrix(obj, path="") -> GroupRingMatrix:
             term = _expect_object(term, tpath)
             g = decode_element(group, _get(term, "g", tpath), f"{tpath}.g")
             coeff = decode_scalar(field, _get(term, "coeff", tpath), f"{tpath}.coeff")
-            terms[g] = field.add(terms.get(g, field.zero), coeff)
+            terms[g] = terms.get(g, 0) + coeff
         key = (i, j)
         if key in entries:
             raise SchemaError(epath, f"duplicate entry at position ({i},{j})")

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -79,6 +80,32 @@ def test_unsupported_operation_exit_3(heisenberg_module_path, capsys):
     assert code == 3
     assert err.strip() == \
         "Ore dimension directly computable only for Zd; use approximation"
+
+
+def test_approx_heisenberg_default_levels(tmp_path, capsys):
+    # Without --levels a Heisenberg module gets its own default levels
+    # 2,4,6,8; at the Z^d defaults the level-32 Foelner box holds 32^4
+    # elements and the command does not finish.
+    from oredim.groups import Heisenberg
+    heis = Heisenberg()
+    matrix = GroupRingMatrix(F2, heis, 1, 2, {
+        (0, 0): GroupRingElement(F2, heis, {(1, 0, 0): 1, (0, 0, 0): 1}),
+        (0, 1): GroupRingElement(F2, heis, {(0, 1, 0): 1, (0, 0, 0): 1})})
+    path = write_json(tmp_path / "heis12.json", encode_matrix(matrix))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["approx", "--input", path])
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert out.splitlines() == [
+        "method,level,normalizer,raw,normalized,certified",
+        "quotient-betti,2,8,9,9/8,true",
+        "quotient-betti,4,64,65,65/64,true",
+        "quotient-betti,6,216,217,217/216,true",
+        "quotient-betti,8,512,513,513/512,true",
+        "elek-truncation,2,16,16,1/1,true",
+        "elek-truncation,4,256,256,1/1,true",
+        "elek-truncation,6,1296,1296,1/1,true",
+        "elek-truncation,8,4096,4096,1/1,true"]
 
 
 def test_schema_error_exit_2_names_path(tmp_path, capsys):

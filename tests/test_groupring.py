@@ -118,6 +118,20 @@ def test_induce_zero_matrix():
     assert induced.nrows == induced.ncols == 4 and induced.nnz == 0
 
 
+@pytest.mark.parametrize("field,terms", [(F3, {(0,): 1, (2,): 2}),
+                                         (Rationals(), {(0,): 1, (2,): -1})],
+                         ids=("F_3", "Q"))
+def test_induce_terms_cancel_on_one_coset(field, terms):
+    # 1 + 2z^2 over F_3 and 1 - z^2 over Q: at level 2 both terms land on
+    # one coset and cancel; at level 3 gcd(1 - x^2, x^3 - 1) = x - 1.
+    matrix = one_by_one(field, Z1, terms)
+    induced = induce_to_quotient(matrix, Z1.quotient(2))
+    assert induced.nnz == 0 and rank_dense(induced) == 0
+    induced = induce_to_quotient(matrix, Z1.quotient(3))
+    assert rank_dense(induced) == 2
+    assert oracle_rank(induced.to_dense(), field) == 2
+
+
 @pytest.mark.parametrize("level", (1, 2, 3, 4))
 def test_induce_dihedral_reflection_rank(level):
     matrix = one_by_one(F3, DINF, {(0, 1): 1, (0, 0): -1})

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -110,9 +111,25 @@ def test_folner_sizes():
 
 
 def test_folner_ordering_deterministic():
-    f = Z2.folner_set(2)
-    assert f.elements == ((0, 0), (0, 1), (1, 0), (1, 1))
-    assert [f.index(g) for g in f.elements] == [0, 1, 2, 3]
+    # Boxes list their elements in lex order: the order of the sorted
+    # element lists, which fixes the row and column order of every
+    # transported matrix.
+    cases = [
+        (Z2.folner_set(2), ((0, 0), (0, 1), (1, 0), (1, 1))),
+        (DINF.folner_set(3), ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1))),
+        (HEIS.folner_set(2), tuple(sorted(
+            (x, y, c) for c in range(4) for y in range(2) for x in range(2)))),
+        (Z2.quotient(3).domain, tuple(sorted(
+            (b, a) for a in range(3) for b in range(3)))),
+        (DINF.quotient(2).domain, ((0, 0), (0, 1), (1, 0), (1, 1))),
+        (HEIS.quotient(3).domain, tuple(sorted(
+            (x, y, c) for c in range(3) for y in range(3) for x in range(3)))),
+    ]
+    for f, expected in cases:
+        assert f.elements == expected
+        assert [f.index(g) for g in f.elements] == list(range(len(expected)))
+    f = DINF.folner_set(3)
+    assert f.index((3, 0)) is None and f.index((-1, 1)) is None
 
 
 def test_folner_rejects_level_zero():
@@ -202,14 +219,24 @@ def test_generator_actions_are_permutations(group, level):
         assert sorted(q.action_permutation(g)) == list(range(q.index)), g
 
 
+MODULI_AT_4 = {Z1: (4,), Z2: (4, 4), DINF: (4, 2), HEIS: (4, 4, 4)}
+
+
 @pytest.mark.parametrize("group", MODELS)
 def test_coset_map_is_action(group):
     rng = random.Random(19)
     q = group.quotient(4)
+    moduli = MODULI_AT_4[group]
+    # the weight of coordinate k in the mixed-radix index of g mod moduli
+    weights = [math.prod(moduli[k + 1:]) for k in range(len(moduli))]
+    negative = 0
     for _ in range(100):
         g, h = random_element(rng, group), random_element(rng, group)
         c = q.coset_of(g)
+        assert c == sum(a % m * w for a, m, w in zip(g, moduli, weights)), g
         assert q.act(c, h) == q.coset_of(group.mul(g, h))
+        negative += min(g) < 0
+    assert negative > 0
 
 
 @pytest.mark.parametrize("group", MODELS)

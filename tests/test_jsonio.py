@@ -57,6 +57,20 @@ def test_term_coefficients_accumulate():
         {"row": 0, "col": 0,
          "terms": [{"coeff": 1, "g": [1]}, {"coeff": 1, "g": [1]}]}]))
     assert m.is_zero()  # 1 + 1 == 0 in F_2
+    # Over Q, 1/2 - 1/3 - 1/6 == 0 drops the whole entry at (0, 0) and the
+    # entry at (0, 1) stays; over F_3, the terms at g = 0 sum to 2 + 2 == 1
+    # and those at g = 1 to 1 + 2 == 0.
+    m = decode_matrix(minimal_matrix(field={"type": "Q"}, cols=2, entries=[
+        {"row": 0, "col": 0,
+         "terms": [{"coeff": "1/2", "g": [2]}, {"coeff": "-1/3", "g": [2]},
+                   {"coeff": "-1/6", "g": [2]}]},
+        {"row": 0, "col": 1, "terms": [{"coeff": 1, "g": [0]}]}]))
+    assert list(m.entries) == [(0, 1)]
+    m = decode_matrix(minimal_matrix(field={"type": "Fp", "p": 3}, entries=[
+        {"row": 0, "col": 0,
+         "terms": [{"coeff": 2, "g": [0]}, {"coeff": 2, "g": [0]},
+                   {"coeff": 1, "g": [1]}, {"coeff": 2, "g": [1]}]}]))
+    assert m.entries[(0, 0)].terms == {(0,): 1}
 
 
 def test_complex_round_trip_and_errors():
