@@ -85,8 +85,7 @@ class HomologyReport:
 
 
 def quotient_homology(complex_: FreeChainComplex,
-                      levels: Optional[Sequence[int]] = None,
-                      rank_alg: str = "auto") -> HomologyReport:
+                      levels: Optional[Sequence[int]] = None) -> HomologyReport:
     """Homology dimensions of the induced complex at each quotient level;
     ``levels`` defaults to the group's ``DEFAULT_QUOTIENT_LEVELS``."""
     rows = []
@@ -96,7 +95,7 @@ def quotient_homology(complex_: FreeChainComplex,
         ranks_of = [0] * (complex_.top + 2)
         for i in range(1, complex_.top + 1):
             diff = complex_.differential(i)
-            ranks_of[i] = rank_plain(induce_to_quotient(diff, quotient), rank_alg)
+            ranks_of[i] = rank_plain(induce_to_quotient(diff, quotient))
         dims = tuple(complex_.ranks[i] * idx - ranks_of[i] - ranks_of[i + 1]
                      for i in range(complex_.top + 1))
         # Rank-nullity makes the alternating sums match identically.
@@ -112,7 +111,7 @@ def homology_report(complex_: FreeChainComplex,
                     rank_alg: str = "auto", seed: int = 0) -> HomologyReport:
     """Quotient homology table, with the exact Ore row filled in whenever
     the group ring admits it (Z^d only)."""
-    table = quotient_homology(complex_, levels, rank_alg)
+    table = quotient_homology(complex_, levels)
     if isinstance(complex_.group, Zd):
         dims, certified = ore_homology(complex_, rank_alg=rank_alg, seed=seed)
         return HomologyReport(table.ranks, table.rows, dims, certified)

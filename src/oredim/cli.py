@@ -22,7 +22,7 @@ from . import chains, dimensions, jsonio
 from .dimensions import ReportConfig
 from .errors import MismatchError, SchemaError, UnsupportedOperationError
 
-RANK_ALGS = ("auto", "dense", "sparse", "bareiss", "prob")
+RANK_ALGS = ("auto", "bareiss", "prob")
 
 
 @dataclass(frozen=True)
@@ -185,8 +185,7 @@ def _run_vdim(args) -> List[Record]:
 
 def _run_folner(args) -> List[Record]:
     module = jsonio.decode_module(_load_json(args.input))
-    table = dimensions.elek_truncation_dim(module, _parse_levels(args.levels),
-                                           rank_alg=args.rank_alg)
+    table = dimensions.elek_truncation_dim(module, _parse_levels(args.levels))
     return _table_records(table)
 
 

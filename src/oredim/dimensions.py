@@ -111,8 +111,7 @@ def ore_dim(module: PresentedModule, rank_alg: str = "auto", seed: int = 0) -> D
 
 
 def elek_truncation_dim(module: PresentedModule,
-                        levels: Optional[Sequence[int]] = None,
-                        rank_alg: str = "auto") -> ConvergenceTable:
+                        levels: Optional[Sequence[int]] = None) -> ConvergenceTable:
     """Dimensions of Foelner-truncated cokernels, normalized by |F_n|;
     ``levels`` defaults to the group's ``DEFAULT_FOLNER_LEVELS``."""
     levels = resolve_levels(levels, DEFAULT_FOLNER_LEVELS, module.group)
@@ -122,15 +121,14 @@ def elek_truncation_dim(module: PresentedModule,
     def row(n: int) -> TableRow:
         folner = module.group.folner_set(n)
         compressed = compress_to_folner(matrix, folner)
-        raw = s * len(folner) - rank_plain(compressed, rank_alg)
+        raw = s * len(folner) - rank_plain(compressed)
         return TableRow(n, len(folner), raw, Fraction(raw, len(folner)))
 
     return ConvergenceTable(Method.ELEK, tuple(row(n) for n in levels))
 
 
 def quotient_betti_dim(module: PresentedModule,
-                       levels: Optional[Sequence[int]] = None,
-                       rank_alg: str = "auto") -> ConvergenceTable:
+                       levels: Optional[Sequence[int]] = None) -> ConvergenceTable:
     """Normalized Betti numbers of the module along the residual chain;
     ``levels`` defaults to the group's ``DEFAULT_QUOTIENT_LEVELS``."""
     levels = resolve_levels(levels, DEFAULT_QUOTIENT_LEVELS, module.group)
@@ -140,7 +138,7 @@ def quotient_betti_dim(module: PresentedModule,
     def row(n: int) -> TableRow:
         quotient = module.group.quotient(n)
         induced = induce_to_quotient(matrix, quotient)
-        raw = s * quotient.index - rank_plain(induced, rank_alg)
+        raw = s * quotient.index - rank_plain(induced)
         return TableRow(n, quotient.index, raw, Fraction(raw, quotient.index))
 
     return ConvergenceTable(Method.QUOTIENT, tuple(row(n) for n in levels))
@@ -215,8 +213,8 @@ def approx_report(module: PresentedModule, config: ReportConfig = ReportConfig()
             target = None
 
     tables = (
-        quotient_betti_dim(module, config.quotient_levels, config.rank_alg),
-        elek_truncation_dim(module, config.folner_levels, config.rank_alg),
+        quotient_betti_dim(module, config.quotient_levels),
+        elek_truncation_dim(module, config.folner_levels),
     )
     agreement: Dict[str, bool] = {}
     if target is not None:

@@ -2,12 +2,13 @@
 
 Two matrix flavors:
 
-* ``PlainMatrix`` -- matrices over F_p or Q.  ``rank_dense`` is Gaussian
-  elimination (numpy int64 kernel for F_p, Fractions for Q);
-  ``rank_sparse`` eliminates in Markowitz min-fill order, finding each
-  pivot from buckets of rows and columns keyed by live count instead of
-  rescanning the block, and falls back to the dense kernel when fill-in
-  passes 50% of the remaining block.  Both kernels serve F_p and Q.
+* ``PlainMatrix`` -- matrices over F_p or Q.  ``rank_sparse`` eliminates
+  in Markowitz min-fill order, finding each pivot from buckets of rows and
+  columns keyed by live count instead of rescanning the block; it is the
+  one kernel for Q.  ``rank_dense`` is Gaussian elimination on a numpy
+  int64 array, over F_p only: ``rank_plain`` sends small or dense F_p
+  matrices to it, and ``rank_sparse`` hands it the rest of an F_p
+  elimination once fill-in passes 50% of the remaining block.
 
 * ``LaurentMatrix`` -- matrices whose entries are Laurent polynomials in d
   commuting variables, i.e. matrices over the rational function field
@@ -27,6 +28,8 @@ lower bound and equals the true rank except with the reported probability.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -59,6 +62,13 @@ BAREISS_MAX_SHAPE = 8
 SCHWARTZ_ZIPPEL_MARGIN = 64
 PROBABILISTIC_TRIALS = 3
 
+# Candidates _find_irreducible tests in lex order, then as many at random.
+# Rabin's test takes 1.5 ms per candidate at (p, e) = (1000003, 4) and 4.1 ms
+# at (2^31-1, 4), one thread.  For p <= 101, e <= 16 lex order finds one
+# within 218 candidates except at (89, 9), (89, 12), (89, 13), (73, 13),
+# (43, 15) and (43, 16), which it reaches at 269 to 605.
+IRREDUCIBLE_SEARCH_LIMIT = 256
+
 
 class PlainMatrix:
     """A matrix over F_p or Q with sparse (row, col) -> value storage."""
@@ -88,11 +98,6 @@ class PlainMatrix:
     @property
     def nnz(self) -> int:
         return len(self.entries)
-
-    @property
-    def density(self) -> float:
-        cells = self.nrows * self.ncols
-        return len(self.entries) / cells if cells else 0.0
 
     def transpose(self) -> "PlainMatrix":
         return PlainMatrix(self.field, self.ncols, self.nrows,
@@ -137,44 +142,17 @@ def _rank_dense_modp(a: np.ndarray, p: int) -> int:
     return r
 
 
-def _rank_dense_fraction(rows) -> int:
-    """Row reduction over Q; pivot = largest magnitude in the column."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(ncols):
-        pivot, best = None, None
-        for i in range(r, nrows):
-            v = rows[i][c]
-            if v != 0 and (best is None or abs(v) > best):
-                pivot, best = i, abs(v)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        for i in range(r + 1, nrows):
-            v = rows[i][c]
-            if v != 0:
-                f = v / pv
-                ri, rr = rows[i], rows[r]
-                for j in range(c, ncols):
-                    ri[j] -= f * rr[j]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
 def rank_dense(m: PlainMatrix) -> int:
-    if m.nrows == 0 or m.ncols == 0 or not m.entries:
+    """Rank over F_p by the numpy int64 kernel.  Over Q it raises TypeError:
+    numpy would silently store each Fraction as its truncation."""
+    if not isinstance(m.field, PrimeField):
+        raise TypeError(f"rank_dense needs a matrix over F_p, not over {m.field!r}")
+    if not m.entries:
         return 0
-    if isinstance(m.field, PrimeField):
-        a = np.zeros((m.nrows, m.ncols), dtype=np.int64)
-        for (i, j), v in m.entries.items():
-            a[i, j] = v
-        return _rank_dense_modp(a, m.field.p)
-    return _rank_dense_fraction(m.to_dense())
+    a = np.zeros((m.nrows, m.ncols), dtype=np.int64)
+    for (i, j), v in m.entries.items():
+        a[i, j] = v
+    return _rank_dense_modp(a, m.field.p)
 
 
 def rank_sparse(m: PlainMatrix) -> int:
@@ -194,10 +172,11 @@ def rank_sparse(m: PlainMatrix) -> int:
     that order, so ties break the same way on every run and no hash seed
     enters.  Any nonzero pivot is exact over an exact field, so the rank
     does not depend on the order and no magnitude thresholding is needed.
-    When the live block densifies past SPARSE_FILL_LIMIT, the remainder
-    goes to the dense kernel.
+    Over F_p, once the live block densifies past SPARSE_FILL_LIMIT, the
+    remainder goes to ``rank_dense``; over Q the elimination runs to the end.
     """
     field = m.field
+    dense_tail = isinstance(field, PrimeField)
     zero, sub, mul, is_zero = field.zero, field.sub, field.mul, field.is_zero
     rows: Dict[int, Dict[int, RawScalar]] = {}
     cols: Dict[int, Dict[int, None]] = {}
@@ -214,7 +193,7 @@ def rank_sparse(m: PlainMatrix) -> int:
     live_cols = len(cols)
     rank = 0
     while rows:
-        if nnz > SPARSE_FILL_LIMIT * len(rows) * live_cols:
+        if dense_tail and nnz > SPARSE_FILL_LIMIT * len(rows) * live_cols:
             return rank + _densify_rank(field, rows)
         pi, pj = _markowitz_pivot(rows, cols, row_bins, col_bins)
         # Take the pivot row and every column it touches out of their
@@ -313,18 +292,12 @@ def _densify_rank(field, rows) -> int:
     return rank_dense(PlainMatrix(field, len(row_ids), len(col_ids), entries))
 
 
-def rank_plain(m: PlainMatrix, alg: str = "auto") -> int:
-    """Rank dispatcher for plain matrices.
-
-    ``auto`` uses the dense kernel for small or dense matrices and
-    Markowitz elimination otherwise; ``bareiss``/``prob`` are Laurent-only
-    algorithms and fall back to ``auto`` here.
-    """
-    if alg == "dense":
-        return rank_dense(m)
-    if alg == "sparse":
-        return rank_sparse(m)
-    if m.nrows * m.ncols <= DENSE_ENTRY_LIMIT or m.density > DENSE_DENSITY_LIMIT:
+def rank_plain(m: PlainMatrix) -> int:
+    """Rank of a plain matrix: ``rank_dense`` for small or dense matrices
+    over F_p, ``rank_sparse`` for every other one, and so for all of Q."""
+    if isinstance(m.field, PrimeField) and (
+            m.nrows * m.ncols <= DENSE_ENTRY_LIMIT
+            or m.nnz > DENSE_DENSITY_LIMIT * m.nrows * m.ncols):
         return rank_dense(m)
     return rank_sparse(m)
 
@@ -345,12 +318,8 @@ def poly_add(a: Poly, b: Poly, field: Field) -> Poly:
     return out
 
 
-def poly_neg(a: Poly, field: Field) -> Poly:
-    return {e: field.neg(v) for e, v in a.items()}
-
-
 def poly_sub(a: Poly, b: Poly, field: Field) -> Poly:
-    return poly_add(a, poly_neg(b, field), field)
+    return poly_add(a, {e: field.neg(v) for e, v in b.items()}, field)
 
 
 def poly_mul(a: Poly, b: Poly, field: Field) -> Poly:
@@ -570,9 +539,14 @@ def _companion(f, p: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _find_irreducible(p: int, e: int):
-    """First monic irreducible of degree e over F_p, in lex order of the
-    coefficient tuple (constant term varies fastest).  Deterministic, so a
-    given (p, e) always yields the same extension field.
+    """A monic irreducible of degree e over F_p (coefficients, constant term
+    first), the same on every run for a given (p, e).
+
+    The first IRREDUCIBLE_SEARCH_LIMIT candidates are in lex order of the
+    coefficient tuple (constant term varies fastest); as many random monic
+    ones, seeded by (p, e), follow.  Lex order alone stalls where a family
+    is all reducible, such as every x^4 + c for p = 3 (mod 4); about one
+    random candidate in e is irreducible.
 
     Candidates with a root at 0, 1 or -1 have a linear factor and are
     skipped.  The rest get Rabin's test on the companion matrix C: f is
@@ -582,8 +556,12 @@ def _find_irreducible(p: int, e: int):
     if e == 1:
         return [0, 1]
     steps = [e // q for q in _prime_factors(e)] + [e]
-    for k in range(p ** e):
-        f = [k // p ** i % p for i in range(e)] + [1]
+    rng = random.Random(f"{p}:{e}")
+    in_order = ([k // p ** i % p for i in range(e)] + [1]
+                for k in range(min(p ** e, IRREDUCIBLE_SEARCH_LIMIT)))
+    drawn = ([rng.randrange(p) for _ in range(e)] + [1]
+             for _ in range(IRREDUCIBLE_SEARCH_LIMIT))
+    for f in itertools.chain(in_order, drawn):
         if any(sum(c * a ** i for i, c in enumerate(f)) % p == 0 for a in (0, 1, -1)):
             continue
         c = _companion(f, p)
@@ -591,7 +569,9 @@ def _find_irreducible(p: int, e: int):
         if (frob[-1] == c).all() and all(
                 _rank_dense_modp(m - c, p) == e for m in frob[:-1]):
             return f
-    raise ArithmeticError(f"no irreducible of degree {e} over F_{p}")
+    raise UnsupportedOperationError(
+        f"no irreducible of degree {e} over F_{p} among "
+        f"{2 * IRREDUCIBLE_SEARCH_LIMIT} candidates")
 
 
 def _companion_powers(p: int, e: int) -> np.ndarray:
@@ -704,7 +684,7 @@ def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0) -> RankReport:
         # constant matrix: evaluation is the matrix itself
         const = PlainMatrix(m.field, r, s,
                             {k: next(iter(p.values())) for k, p in m.entries.items()})
-        return RankReport(rank_dense(const), True, Fraction(0))
+        return RankReport(rank_plain(const), True, Fraction(0))
     target = SCHWARTZ_ZIPPEL_MARGIN * degree_bound
     best = 0
     if isinstance(m.field, PrimeField):
@@ -742,16 +722,10 @@ def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0) -> RankReport:
         for trial in range(PROBABILISTIC_TRIALS):
             rng = random.Random(seed * 1_000_003 + trial + 1)
             point = [Fraction(rng.randrange(1, target + 1)) for _ in range(m.nvars)]
-            rows = [[Fraction(0)] * s for _ in range(r)]
-            for (i, j), poly in m.entries.items():
-                total = Fraction(0)
-                for exp, v in poly.items():
-                    term = Fraction(v)
-                    for x, ee in zip(point, exp):
-                        term *= x ** ee
-                    total += term
-                rows[i][j] = total
-            best = max(best, _rank_dense_fraction(rows))
+            values = {k: sum(v * math.prod(map(operator.pow, point, exp))
+                             for exp, v in poly.items())
+                      for k, poly in m.entries.items()}
+            best = max(best, rank_plain(PlainMatrix(m.field, r, s, values)))
     bound = Fraction(degree_bound, sample_size) ** PROBABILISTIC_TRIALS
     return RankReport(best, False, min(bound, Fraction(1)))
 
@@ -762,20 +736,17 @@ def rank_laurent(m: LaurentMatrix, alg: str = "auto", seed: int = 0) -> RankRepo
     ``auto`` certifies with Bareiss for univariate matrices up to 8x8 and
     falls back to randomized evaluation beyond that (fraction-free
     coefficient growth is severe in two or more variables).  ``bareiss``
-    forces certification but is only offered up to 2 variables and 8x8.
+    forces certification but is only offered up to 2 variables and 8x8;
+    ``prob`` always evaluates.
     """
     shape = max(m.nrows, m.ncols)
-    if alg in ("auto", "dense", "sparse"):
-        if m.nvars <= 1 and shape <= BAREISS_MAX_SHAPE:
-            return RankReport(rank_laurent_bareiss(m), True, Fraction(0))
-        return rank_laurent_probabilistic(m, seed)
-    if alg == "bareiss":
-        if m.nvars > BAREISS_MAX_VARS or shape > BAREISS_MAX_SHAPE:
-            raise UnsupportedOperationError(
-                f"certified rank supports at most {BAREISS_MAX_VARS} variables and "
-                f"{BAREISS_MAX_SHAPE}x{BAREISS_MAX_SHAPE} shapes; "
-                f"got {m.nvars} variables, {m.nrows}x{m.ncols}")
+    if alg not in ("auto", "bareiss", "prob"):
+        raise ValueError(f"unknown rank algorithm {alg!r}")
+    if alg == "bareiss" and (m.nvars > BAREISS_MAX_VARS or shape > BAREISS_MAX_SHAPE):
+        raise UnsupportedOperationError(
+            f"certified rank supports at most {BAREISS_MAX_VARS} variables and "
+            f"{BAREISS_MAX_SHAPE}x{BAREISS_MAX_SHAPE} shapes; "
+            f"got {m.nvars} variables, {m.nrows}x{m.ncols}")
+    if alg == "bareiss" or (alg == "auto" and m.nvars <= 1 and shape <= BAREISS_MAX_SHAPE):
         return RankReport(rank_laurent_bareiss(m), True, Fraction(0))
-    if alg == "prob":
-        return rank_laurent_probabilistic(m, seed)
-    raise ValueError(f"unknown rank algorithm {alg!r}")
+    return rank_laurent_probabilistic(m, seed)

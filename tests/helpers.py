@@ -141,6 +141,51 @@ def first_irreducible(p, e):
     return None
 
 
+def polypowmod(a, n, mod, p):
+    """a^n modulo the monic polynomial `mod`, by square and multiply."""
+    out = poly_rem([1], mod, p)
+    while n:
+        if n & 1:
+            out = polymulmod(out, a, mod, p)
+        a = polymulmod(a, a, mod, p)
+        n >>= 1
+    return out
+
+
+def polygcd(a, b, p):
+    """Monic gcd over F_p; the zero polynomial is []."""
+    def trim(c):
+        c = [x % p for x in c]
+        while c and not c[-1]:
+            c.pop()
+        return c
+
+    a, b = trim(a), trim(b)
+    while b:
+        inv = pow(b[-1], -1, p)
+        b = [x * inv % p for x in b]
+        a, b = b, trim(poly_rem(a, b, p))
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
+def rabin_irreducible(f, p):
+    """Rabin's test for the monic f of degree e over F_p: x^(p^e) = x mod f,
+    and gcd(x^(p^(e/q)) - x, f) = 1 for every prime q dividing e."""
+    e = len(f) - 1
+    x = poly_rem([0, 1], f, p)
+
+    def minus_x(g):
+        return [(c - d) % p for c, d in zip(g, x)]
+
+    if any(minus_x(polypowmod(x, p ** e, f, p))):
+        return False
+    primes = [q for q in range(2, e + 1) if e % q == 0
+              and all(q % d for d in range(2, q))]
+    return all(polygcd(minus_x(polypowmod(x, p ** (e // q), f, p)), f, p) == [1]
+               for q in primes)
+
+
 # -- polynomial determinant oracle (for tiny Laurent matrices) -------------
 
 def _po_mul(a, b, field):

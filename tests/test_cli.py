@@ -219,6 +219,36 @@ def test_certified_gate_surfaces_as_exit_3(tmp_path, capsys):
     assert code == 3 and "certified rank" in err
 
 
+def test_plain_kernels_are_no_rank_alg(z_module_path, capsys):
+    assert cli.RANK_ALGS == ("auto", "bareiss", "prob")
+    for alg in ("dense", "sparse"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ore", "--input", z_module_path, "--rank-alg", alg])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d,terms,extra", [
+    (2, {(10**17, 0): 1, (0, 1): 1}, []),
+    (1, {(10**17,): 1, (0,): 1}, ["--rank-alg", "prob"]),
+], ids=("bivariate", "univariate-prob"))
+def test_ore_huge_degree_needs_no_lex_search(tmp_path, capsys, d, terms, extra):
+    # the trial points lie in F_{p^4}, p = 1000003 = 3 (mod 4), where no
+    # x^4 + c is irreducible; lex order alone tested a million candidates
+    from oredim import linalg
+
+    field = PrimeField(1000003)
+    matrix = GroupRingMatrix(field, Zd(d), 1, 1, {
+        (0, 0): GroupRingElement(field, Zd(d), terms)})
+    path = write_json(tmp_path / "huge.json", encode_matrix(matrix))
+    linalg._find_irreducible.cache_clear()
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["ore", "--input", path] + extra)
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert out.splitlines()[1] == "ore,0,1,0,0/1,false"
+
+
 def test_selftest_aggregation(monkeypatch, capsys):
     from oredim import selftest
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import (first_irreducible, oracle_laurent_rank, oracle_rank,
-                     oracle_rank_q, polymulmod)
+                     oracle_rank_q, polymulmod, rabin_irreducible)
 from oredim import linalg
 from oredim.errors import UnsupportedOperationError
 from oredim.fields import PrimeField, Rationals
@@ -57,14 +57,50 @@ def test_rank_dense_examples():
     ident = {(i, i): 1 for i in range(6)}
     assert rank_dense(PlainMatrix(F2, 6, 6, ident)) == 6
     assert rank_dense(PlainMatrix(F3, 4, 7, {})) == 0
-    assert rank_dense(PlainMatrix(Q, 0, 5, {})) == 0
+    assert rank_dense(PlainMatrix(F3, 0, 5, {})) == 0
 
 
-def test_rank_dense_rational_pivoting():
+def test_rank_dense_rejects_rationals():
+    # numpy would store Fraction(1, 2) in an int64 cell as 0
+    for m in (dense(Q, [[Fraction(1, 2), 1], [1, 2]]), PlainMatrix(Q, 0, 5, {})):
+        with pytest.raises(TypeError, match="F_p"):
+            rank_dense(m)
+    assert rank_plain(PlainMatrix(Q, 0, 5, {})) == 0
+
+
+def test_rank_plain_rational_entries():
     m = dense(Q, [[Fraction(1, 2), Fraction(1, 3)],
                   [Fraction(1, 4), Fraction(1, 6)],
                   [Fraction(3, 2), 1]])
-    assert rank_dense(m) == oracle_rank_q(m.to_dense())
+    assert rank_plain(m) == oracle_rank_q(m.to_dense()) == 1
+
+
+def test_rank_plain_over_q_runs_only_markowitz(monkeypatch):
+    # a dense 30x30 product of fractions of rank 12: small and dense enough
+    # for the numpy kernel over F_p, but over Q only rank_sparse may rank it,
+    # also inside the rational Schwartz-Zippel trials
+    calls = []
+    for name in ("rank_dense", "rank_sparse"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name,
+                            lambda m, name=name, real=real: calls.append(name) or real(m))
+    rng = random.Random(149)
+
+    def fractions(nrows, ncols):
+        return [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(ncols)]
+                for _ in range(nrows)]
+
+    a, b = fractions(30, 12), fractions(12, 30)
+    rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    m = dense(Q, rows)
+    assert m.nnz == 30 * 30
+    assert rank_plain(m) == oracle_rank_q(rows) == 12
+    assert calls == ["rank_sparse"]
+    calls.clear()
+    laurent = LaurentMatrix(Q, 1, 2, 2, {(0, 0): {(1,): Fraction(1, 2)}, (0, 1): {(0,): 3},
+                                         (1, 0): {(0,): 1}, (1, 1): {(-1,): 6}})
+    assert rank_laurent_probabilistic(laurent).rank == 1
+    assert calls == ["rank_sparse"] * linalg.PROBABILISTIC_TRIALS
 
 
 def test_rank_dense_huge_prime_matches_bigint_oracle():
@@ -104,7 +140,10 @@ def test_rank_sparse_matches_dense_randomized():
             if not field.is_zero(field.normalize(v)):
                 entries[(rng.randrange(nrows), rng.randrange(ncols))] = v
         m = PlainMatrix(field, nrows, ncols, entries)
-        assert rank_sparse(m) == rank_dense(m) == oracle_rank(m.to_dense(), field)
+        want = oracle_rank(m.to_dense(), field)
+        assert rank_sparse(m) == want
+        if isinstance(field, PrimeField):
+            assert rank_dense(m) == want
 
 
 def test_rank_sparse_dense_fallback_path():
@@ -140,8 +179,8 @@ def test_rank_sparse_plane_quotients_closed_form(field):
         m = plane_quotient(field, n)
         assert rank_sparse(m) == n * n - 1, n
         if n <= 8:
-            assert rank_dense(m) == oracle_rank(m.to_dense(), field) == n * n - 1
-        elif n <= 32 and isinstance(field, PrimeField):
+            assert oracle_rank(m.to_dense(), field) == n * n - 1
+        if n <= 32 and isinstance(field, PrimeField):
             assert rank_dense(m) == n * n - 1
 
 
@@ -182,7 +221,10 @@ def test_rank_sparse_structured_matrices(field):
     rng = random.Random(131)
     for _ in range(8):
         for m in _structured_cases(rng, field):
-            assert rank_sparse(m) == rank_dense(m) == oracle_rank(m.to_dense(), field)
+            want = oracle_rank(m.to_dense(), field)
+            assert rank_sparse(m) == want
+            if isinstance(field, PrimeField):
+                assert rank_dense(m) == want
 
 
 def test_rank_sparse_fill_falls_back_to_dense_partway(monkeypatch):
@@ -258,7 +300,8 @@ def test_integer_matrix_rank_stable_across_fields():
     rng = random.Random(89)
     for _ in range(10):
         rows = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(4)]
-        over_q = rank_dense(dense(Q, rows))
+        over_q = rank_plain(dense(Q, rows))
+        assert over_q == oracle_rank_q(rows)
         for p in (101, 103, 107):
             assert rank_dense(dense(PrimeField(p), rows)) == over_q
 
@@ -444,17 +487,17 @@ def test_rank_laurent_bareiss_gate():
     ok = LaurentMatrix(F5, 2, 5, 5, {(i, i): {(1, 1): 1} for i in range(5)})
     report = rank_laurent(ok, alg="bareiss")
     assert report.certified and report.rank == 5
-    with pytest.raises(ValueError):
-        rank_laurent(ok, alg="nonsense")
+    # plain-matrix kernels are no Laurent algorithms
+    for alg in ("nonsense", "dense", "sparse"):
+        with pytest.raises(ValueError, match="unknown rank algorithm"):
+            rank_laurent(ok, alg=alg)
 
 
 def test_rank_plain_dispatcher():
     rng = random.Random(113)
     entries = {(rng.randrange(80), rng.randrange(80)): 1 for _ in range(200)}
     m = PlainMatrix(F2, 80, 80, entries)
-    assert rank_plain(m) == rank_plain(m, "dense") == rank_plain(m, "sparse")
-    # laurent-only algorithms fall back to auto for plain matrices
-    assert rank_plain(m, "bareiss") == rank_plain(m)
+    assert rank_plain(m) == rank_dense(m) == rank_sparse(m) == oracle_rank(m.to_dense(), F2)
 
 
 # -- extension fields -----------------------------------------------------------
@@ -479,10 +522,22 @@ def test_extension_field_products_randomized():
             assert (block @ b % p).tolist() == polymulmod(a, b, modulus, p)
 
 
-@pytest.mark.parametrize("p,top", [(2, 14), (3, 9), (5, 5), (47, 2)])
+# (7, 4) and (11, 3): every x^4 + c over F_7 and every x^3 + c over F_11 is
+# reducible, so the lex-first irreducible lies past the binomials
+@pytest.mark.parametrize("p,top", [(2, 14), (3, 9), (5, 5), (47, 2), (7, 4), (11, 3)])
 def test_find_irreducible_matches_trial_division(p, top):
     for e in range(2, top + 1):
         assert linalg._find_irreducible(p, e) == first_irreducible(p, e), (p, e)
+
+
+def test_find_irreducible_bounded_search():
+    # the deepest lex-first irreducible of p <= 13, e <= 16: candidate 191
+    assert linalg._find_irreducible(13, 10) == [9, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1]
+    # no x^4 + c is irreducible over F_1000003 (1000003 = 3 mod 4), so lex
+    # order would test a million candidates; the random phase finds one
+    f = linalg._find_irreducible(1000003, 4)
+    assert len(f) == 5 and f[-1] == 1 and any(f[1:4])
+    assert rabin_irreducible(f, 1000003)
 
 
 def test_matmul_mod_exact_at_largest_prime():
