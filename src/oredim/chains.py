@@ -108,22 +108,22 @@ def quotient_homology(complex_: FreeChainComplex,
 
 def homology_report(complex_: FreeChainComplex,
                     levels: Optional[Sequence[int]] = None,
-                    rank_alg: str = "auto", seed: int = 0) -> HomologyReport:
+                    seed: int = 0) -> HomologyReport:
     """Quotient homology table, with the exact Ore row filled in whenever
     the group ring admits it (Z^d only)."""
     table = quotient_homology(complex_, levels)
     if isinstance(complex_.group, Zd):
-        dims, certified = ore_homology(complex_, rank_alg=rank_alg, seed=seed)
+        dims, certified = ore_homology(complex_, seed=seed)
         return HomologyReport(table.ranks, table.rows, dims, certified)
     return table
 
 
-def ore_homology(complex_: FreeChainComplex, rank_alg: str = "auto",
-                 seed: int = 0) -> Tuple[Tuple[Fraction, ...], bool]:
+def ore_homology(complex_: FreeChainComplex, seed: int = 0) -> Tuple[Tuple[Fraction, ...], bool]:
     """Per-degree Ore dimensions of homology for a complex over k[Z^d].
 
     Returns the dimensions together with a certification flag (False as
-    soon as one rank came from randomized evaluation).
+    soon as one ``rank_laurent`` result is uncertified, i.e. came from
+    evaluation below full rank).
     """
     if not isinstance(complex_.group, Zd):
         raise UnsupportedOperationError(
@@ -131,8 +131,7 @@ def ore_homology(complex_: FreeChainComplex, rank_alg: str = "auto",
     ranks_of = [0] * (complex_.top + 2)
     certified = True
     for i in range(1, complex_.top + 1):
-        report = rank_laurent(to_laurent(complex_.differential(i)),
-                              alg=rank_alg, seed=seed)
+        report = rank_laurent(to_laurent(complex_.differential(i)), seed=seed)
         ranks_of[i] = report.rank
         certified = certified and report.certified
     dims = tuple(Fraction(complex_.ranks[i] - ranks_of[i] - ranks_of[i + 1])

@@ -3,9 +3,10 @@
 Subcommands: ore, approx, folner, vdim, homology, betti-finite, selftest.
 Inputs are JSON files in the wire formats of ``jsonio``; outputs are CSV
 (header ``method,level,normalizer,raw,normalized,certified``) or a JSON
-mirror of the same records.  Exit codes: 0 success, 2 malformed input
-(diagnostic names the JSON path), 3 unsupported operation (message equals
-the library error text).
+mirror of the same records.  ``--levels`` is read by approx, folner and
+homology, ``--tol`` by approx; the others reject them.  Exit codes: 0
+success, 2 malformed input (diagnostic names the JSON path), 3 unsupported
+operation (message equals the library error text).
 """
 from __future__ import annotations
 
@@ -21,9 +22,6 @@ from typing import List, Optional, Tuple
 from . import chains, dimensions, jsonio
 from .dimensions import ReportConfig
 from .errors import MismatchError, SchemaError, UnsupportedOperationError
-
-RANK_ALGS = ("auto", "bareiss", "prob")
-
 
 @dataclass(frozen=True)
 class Record:
@@ -75,30 +73,6 @@ def render(records: List[Record], fmt: str, extra: Optional[dict] = None) -> str
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def parse_report(text: str) -> List[Record]:
-    """Re-parse an emitted JSON report (the published schema)."""
-    obj = json.loads(text)
-    if not isinstance(obj, dict):
-        raise SchemaError("", "expected an object")
-    records = obj.get("records")
-    if not isinstance(records, list):
-        raise SchemaError("records", "expected an array")
-    out = []
-    for k, rec in enumerate(records):
-        path = f"records[{k}]"
-        if not isinstance(rec, dict):
-            raise SchemaError(path, "expected an object")
-        try:
-            out.append(Record(rec["method"], int(rec["level"]),
-                              int(rec["normalizer"]), int(rec["raw"]),
-                              jsonio.parse_fraction(rec["normalized"],
-                                                    f"{path}.normalized"),
-                              bool(rec["certified"])))
-        except KeyError as exc:
-            raise SchemaError(path, f"missing key {exc.args[0]!r}") from None
-    return out
-
-
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -146,40 +120,39 @@ def build_parser() -> argparse.ArgumentParser:
                     "of Z^d, the infinite dihedral group, and the Heisenberg group.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="path to a JSON input file")
-        p.add_argument("--levels", default=None,
-                       help="comma-separated strictly increasing levels")
+    def command(name, summary, levels=False, tol=False):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--input", required=True, help="path to a JSON input file")
+        if levels:
+            p.add_argument("--levels", default=None,
+                           help="comma-separated strictly increasing levels")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--rank-alg", choices=RANK_ALGS, default="auto")
-        p.add_argument("--tol", default="1/20",
-                       help="agreement tolerance as an exact rational, e.g. 1/20")
+        if tol:
+            p.add_argument("--tol", default="1/20",
+                           help="agreement tolerance as an exact rational, e.g. 1/20")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    common(sub.add_parser("ore", help="exact Ore dimension of a Z^d module"))
-    common(sub.add_parser("approx", help="all dimension functions side by side"))
-    common(sub.add_parser("folner", help="Foelner truncation table"))
-    common(sub.add_parser("vdim", help="virtual Ore dimension"))
-    common(sub.add_parser("homology", help="homology dimensions of a chain complex"))
-    common(sub.add_parser("betti-finite",
-                          help="Betti numbers of finite quotient groups (Z/n)^d"))
+    command("ore", "exact Ore dimension of a Z^d module")
+    command("approx", "all dimension functions side by side", levels=True, tol=True)
+    command("folner", "Foelner truncation table", levels=True)
+    command("vdim", "virtual Ore dimension")
+    command("homology", "homology dimensions of a chain complex", levels=True)
+    command("betti-finite", "Betti numbers of finite quotient groups (Z/n)^d")
     sub.add_parser("selftest", help="run the acceptance suite")
     return parser
 
 
 def _run_ore(args) -> List[Record]:
     module = jsonio.decode_module(_load_json(args.input))
-    value = dimensions.ore_dim(module, rank_alg=args.rank_alg, seed=args.seed)
+    value = dimensions.ore_dim(module, seed=args.seed)
     return [_value_record(value)]
 
 
 def _run_vdim(args) -> List[Record]:
     module = jsonio.decode_module(_load_json(args.input))
     subgroup = dimensions.default_subgroup(module.group)
-    value = dimensions.virtual_ore_dim(module, subgroup, rank_alg=args.rank_alg,
-                                       seed=args.seed)
+    value = dimensions.virtual_ore_dim(module, subgroup, seed=args.seed)
     return [_value_record(value)]
 
 
@@ -194,7 +167,7 @@ def _run_approx(args):
     levels = _parse_levels(args.levels)
     config = ReportConfig(
         quotient_levels=levels, folner_levels=levels,
-        tol=_parse_tol(args.tol), seed=args.seed, rank_alg=args.rank_alg)
+        tol=_parse_tol(args.tol), seed=args.seed)
     report = dimensions.approx_report(module, config)
     records = []
     if report.target is not None:
@@ -209,7 +182,7 @@ def _run_approx(args):
 def _run_homology(args) -> List[Record]:
     complex_ = jsonio.decode_complex(_load_json(args.input))
     report = chains.homology_report(complex_, _parse_levels(args.levels),
-                                    rank_alg=args.rank_alg, seed=args.seed)
+                                    seed=args.seed)
     records = []
     if report.ore is not None:
         for i, v in enumerate(report.ore):

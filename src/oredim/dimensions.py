@@ -13,6 +13,9 @@ For a module presented by an r x s matrix A:
 * ``virtual_ore_dim``    -- Ore dimension of the restriction to a
   whitelisted finite-index Z^d subgroup, divided by the index.
 
+Both take their rank from ``linalg.rank_laurent``; ``seed`` picks its
+evaluation points, and ``certified`` says whether the rank is proved.
+
 Tables never extrapolate: the exact target is reported when available and
 an agreement flag compares the last table row against it at a user
 tolerance, but no limit is ever declared.
@@ -100,12 +103,12 @@ def resolve_levels(levels: Optional[Sequence[int]], defaults, group: Group) -> L
     return levels
 
 
-def ore_dim(module: PresentedModule, rank_alg: str = "auto", seed: int = 0) -> DimensionValue:
+def ore_dim(module: PresentedModule, seed: int = 0) -> DimensionValue:
     """Ore dimension of the module: generators minus rank over k(t_1..t_d)."""
     if not isinstance(module.group, Zd):
         raise UnsupportedOperationError(
             "Ore dimension directly computable only for Zd; use approximation")
-    report = rank_laurent(to_laurent(module.matrix), alg=rank_alg, seed=seed)
+    report = rank_laurent(to_laurent(module.matrix), seed=seed)
     value = Fraction(module.generators - report.rank)
     return DimensionValue(value, Method.ORE, report.certified)
 
@@ -144,12 +147,11 @@ def quotient_betti_dim(module: PresentedModule,
     return ConvergenceTable(Method.QUOTIENT, tuple(row(n) for n in levels))
 
 
-def virtual_ore_dim(module: PresentedModule, subgroup, rank_alg: str = "auto",
-                    seed: int = 0) -> DimensionValue:
+def virtual_ore_dim(module: PresentedModule, subgroup, seed: int = 0) -> DimensionValue:
     """Ore dimension of the restriction to a finite-index Z^d subgroup,
     normalized by the index."""
     restricted, index = restrict_scalars(module.matrix, subgroup)
-    report = rank_laurent(to_laurent(restricted), alg=rank_alg, seed=seed)
+    report = rank_laurent(to_laurent(restricted), seed=seed)
     raw = restricted.ncols - report.rank
     return DimensionValue(Fraction(raw, index), Method.VIRTUAL_ORE, report.certified,
                           index)
@@ -170,7 +172,6 @@ class ReportConfig:
     folner_levels: Optional[Tuple[int, ...]] = None
     tol: Fraction = Fraction(1, 20)
     seed: int = 0
-    rank_alg: str = "auto"
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -204,11 +205,10 @@ def approx_report(module: PresentedModule, config: ReportConfig = ReportConfig()
     group = module.group
     target: Optional[DimensionValue] = None
     if isinstance(group, Zd):
-        target = ore_dim(module, rank_alg=config.rank_alg, seed=config.seed)
+        target = ore_dim(module, seed=config.seed)
     else:
         try:
-            target = virtual_ore_dim(module, default_subgroup(group),
-                                     rank_alg=config.rank_alg, seed=config.seed)
+            target = virtual_ore_dim(module, default_subgroup(group), seed=config.seed)
         except UnsupportedOperationError:
             target = None
 

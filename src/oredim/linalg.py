@@ -20,10 +20,11 @@ Two matrix flavors:
   the Schwartz-Zippel bound on losing rank is tiny, and reports that bound.
   Over F_p each trial is ranked by the numpy F_p kernel after restriction
   of scalars: every entry becomes its e x e multiplication matrix over
-  F_p, which multiplies the rank by e.
+  F_p, which multiplies the rank by e.  ``rank_laurent`` picks between them.
 
 Evaluation can only lose rank, so the probabilistic answer is a certified
-lower bound and equals the true rank except with the reported probability.
+lower bound, certified outright at full rank min(r, s); below that it is
+the true rank except with the reported probability.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -54,10 +55,14 @@ DENSE_ENTRY_LIMIT = 4096
 DENSE_DENSITY_LIMIT = 0.2
 SPARSE_FILL_LIMIT = 0.5
 
-# The certified (Bareiss) path is only offered where fraction-free
-# coefficient growth stays manageable.
-BAREISS_MAX_VARS = 2
+# rank_laurent tries Bareiss on univariate matrices up to 8x8 and drops it
+# once its term products (len(a)*len(b) per poly_mul, len(num)*len(den) per
+# poly_divexact) pass BAREISS_WORK_LIMIT.  The 1,710 Bareiss calls of bench
+# seeds 1-30 peak at 5,637; dense 8x8 ones with exponents in [-5, 5] need
+# 9,456 to 1,132,533 and take seconds over Q.  At about 2 us per product
+# over F_p and 8 us over Q (one thread) a dropped attempt costs <= 140 ms.
 BAREISS_MAX_SHAPE = 8
+BAREISS_WORK_LIMIT = 16384
 
 SCHWARTZ_ZIPPEL_MARGIN = 64
 PROBABILISTIC_TRIALS = 3
@@ -68,6 +73,12 @@ PROBABILISTIC_TRIALS = 3
 # within 218 candidates except at (89, 9), (89, 12), (89, 13), (73, 13),
 # (43, 15) and (43, 16), which it reaches at 269 to 605.
 IRREDUCIBLE_SEARCH_LIMIT = 256
+
+# A trial over Q raises integers up to 64*D to each exponent: its largest
+# power has about maxdeg * bit_length(64*D) bits.  On [x^n + y] the trials
+# took 0.15 s at 1.03e6 bits (n = 47,000), 0.53 s at 2.3e6 and 3.4 s at
+# 7.5e6, one thread; bench Q matrices stay under 100 bits.
+Q_POWER_BITS_LIMIT = 1 << 20
 
 
 class PlainMatrix:
@@ -442,14 +453,15 @@ def _clearing_shifts(m: LaurentMatrix):
     return [tuple(-x for x in row) for row in mins]
 
 
-def rank_laurent_bareiss(m: LaurentMatrix) -> int:
+def rank_laurent_bareiss(m: LaurentMatrix, *, _work_limit=None) -> Optional[int]:
     """Certified rank over k(t_1..t_d) by fraction-free elimination.
 
     Each row is first scaled by a monomial clearing negative exponents
     (units do not change rank).  The one-step Bareiss recurrence then
     keeps every entry a minor of the cleared matrix, so the division by
     the previous pivot is exact; columns with no pivot are skipped, rows
-    are swapped to the first nonzero candidate.
+    are swapped to the first nonzero candidate.  ``rank_laurent`` alone
+    passes ``_work_limit``: None comes back once term products pass it.
     """
     field = m.field
     shifts = _clearing_shifts(m)
@@ -460,6 +472,7 @@ def rank_laurent_bareiss(m: LaurentMatrix) -> int:
             row = [poly_monomial_shift(p, shifts[i]) for p in row]
         grid.append(row)
     prev: Poly = {(0,) * m.nvars: field.one}
+    work = 0
     rank = 0
     pr = 0
     for pc in range(m.ncols):
@@ -475,16 +488,17 @@ def rank_laurent_bareiss(m: LaurentMatrix) -> int:
         pv = grid[pr][pc]
         for i in range(pr + 1, m.nrows):
             head = grid[i][pc]
-            if head:
-                for j in range(pc + 1, m.ncols):
-                    num = poly_sub(poly_mul(pv, grid[i][j], field),
-                                   poly_mul(head, grid[pr][j], field), field)
-                    grid[i][j] = poly_divexact(num, prev, field)
-                grid[i][pc] = {}
-            else:
-                for j in range(pc + 1, m.ncols):
-                    grid[i][j] = poly_divexact(poly_mul(pv, grid[i][j], field),
-                                               prev, field)
+            for j in range(pc + 1, m.ncols):
+                num = poly_mul(pv, grid[i][j], field)
+                work += len(pv) * len(grid[i][j])
+                if head:
+                    num = poly_sub(num, poly_mul(head, grid[pr][j], field), field)
+                    work += len(head) * len(grid[pr][j])
+                work += len(num) * len(prev)
+                grid[i][j] = poly_divexact(num, prev, field)
+                if _work_limit is not None and work > _work_limit:
+                    return None
+            grid[i][pc] = {}
         prev = pv
         rank += 1
         pr += 1
@@ -645,8 +659,8 @@ def _cleared_terms(m: LaurentMatrix):
 class RankReport:
     """Outcome of a Laurent rank computation.
 
-    ``certified`` is False exactly when the value came from randomized
-    evaluation; ``failure_bound`` then bounds the probability that the
+    ``certified`` is False exactly when randomized evaluation found less
+    than full rank; ``failure_bound`` then bounds the probability that the
     true rank is larger.
     """
 
@@ -661,7 +675,8 @@ class RankReport:
 
 def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0) -> RankReport:
     """Schwartz-Zippel rank: evaluate at random points, take the max of
-    three trials.
+    three trials.  Evaluation can only lower the rank, so a trial that
+    reaches min(r, s) certifies it.
 
     The nonzero minors have total degree at most D = min(r,s) * maxdeg, so
     a uniformly random point from a sample space of size >= 64*D witnesses
@@ -675,6 +690,9 @@ def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0) -> RankReport:
     each entry, and ranks the (r*e) x (s*e) matrix of multiplication blocks
     over F_p (restriction of scalars); that rank is e times the rank over
     F_{p^e}.
+
+    Over Q the points are integers and the powers exact, so a matrix whose
+    largest power would pass Q_POWER_BITS_LIMIT bits is refused.
     """
     r, s = m.nrows, m.ncols
     if r == 0 or s == 0 or not m.entries:
@@ -686,7 +704,6 @@ def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0) -> RankReport:
                             {k: next(iter(p.values())) for k, p in m.entries.items()})
         return RankReport(rank_plain(const), True, Fraction(0))
     target = SCHWARTZ_ZIPPEL_MARGIN * degree_bound
-    best = 0
     if isinstance(m.field, PrimeField):
         p = m.field.p
         e = 1
@@ -698,8 +715,8 @@ def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0) -> RankReport:
         sample_size = p ** e - 1
         cpow = _companion_powers(p, e)
         cells, starts, coeffs, term_monos, per_var = _cleared_terms(m)
-        for trial in range(PROBABILISTIC_TRIALS):
-            rng = random.Random(seed * 1_000_003 + trial + 1)
+
+        def trial(rng):
             point = [_random_nonzero(rng, p, e) for _ in range(m.nvars)]
             # every distinct monomial at the point, as a vector over F_p
             vals = np.zeros((len(per_var[0][1]), e), dtype=np.int64)
@@ -716,37 +733,40 @@ def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0) -> RankReport:
                 raise ArithmeticError(
                     f"rank {rank} over F_{p} of a matrix realified from "
                     f"F_{p}^{e} is not a multiple of {e}")
-            best = max(best, rank // e)
+            return rank // e
     else:
+        bits = m.max_entry_degree() * target.bit_length()
+        if bits > Q_POWER_BITS_LIMIT:
+            raise UnsupportedOperationError(
+                f"evaluating this matrix over Q needs powers of about {bits} bits, "
+                f"beyond the limit of {Q_POWER_BITS_LIMIT}")
         sample_size = target
-        for trial in range(PROBABILISTIC_TRIALS):
-            rng = random.Random(seed * 1_000_003 + trial + 1)
+
+        def trial(rng):
             point = [Fraction(rng.randrange(1, target + 1)) for _ in range(m.nvars)]
             values = {k: sum(v * math.prod(map(operator.pow, point, exp))
                              for exp, v in poly.items())
                       for k, poly in m.entries.items()}
-            best = max(best, rank_plain(PlainMatrix(m.field, r, s, values)))
+            return rank_plain(PlainMatrix(m.field, r, s, values))
+    best = 0
+    for k in range(PROBABILISTIC_TRIALS):
+        best = max(best, trial(random.Random(seed * 1_000_003 + k + 1)))
+        if best == min(r, s):
+            return RankReport(best, True, Fraction(0))
     bound = Fraction(degree_bound, sample_size) ** PROBABILISTIC_TRIALS
     return RankReport(best, False, min(bound, Fraction(1)))
 
 
-def rank_laurent(m: LaurentMatrix, alg: str = "auto", seed: int = 0) -> RankReport:
-    """Laurent rank dispatcher.
+def rank_laurent(m: LaurentMatrix, seed: int = 0) -> RankReport:
+    """Rank over k(t_1..t_d).
 
-    ``auto`` certifies with Bareiss for univariate matrices up to 8x8 and
-    falls back to randomized evaluation beyond that (fraction-free
-    coefficient growth is severe in two or more variables).  ``bareiss``
-    forces certification but is only offered up to 2 variables and 8x8;
-    ``prob`` always evaluates.
+    Univariate matrices up to BAREISS_MAX_SHAPE x BAREISS_MAX_SHAPE are
+    certified by Bareiss unless the elimination passes BAREISS_WORK_LIMIT
+    term products; those, and all others (fraction-free coefficient growth
+    is severe in two or more variables), are evaluated at random points.
     """
-    shape = max(m.nrows, m.ncols)
-    if alg not in ("auto", "bareiss", "prob"):
-        raise ValueError(f"unknown rank algorithm {alg!r}")
-    if alg == "bareiss" and (m.nvars > BAREISS_MAX_VARS or shape > BAREISS_MAX_SHAPE):
-        raise UnsupportedOperationError(
-            f"certified rank supports at most {BAREISS_MAX_VARS} variables and "
-            f"{BAREISS_MAX_SHAPE}x{BAREISS_MAX_SHAPE} shapes; "
-            f"got {m.nvars} variables, {m.nrows}x{m.ncols}")
-    if alg == "bareiss" or (alg == "auto" and m.nvars <= 1 and shape <= BAREISS_MAX_SHAPE):
-        return RankReport(rank_laurent_bareiss(m), True, Fraction(0))
+    if m.nvars <= 1 and max(m.nrows, m.ncols) <= BAREISS_MAX_SHAPE:
+        rank = rank_laurent_bareiss(m, _work_limit=BAREISS_WORK_LIMIT)
+        if rank is not None:
+            return RankReport(rank, True, Fraction(0))
     return rank_laurent_probabilistic(m, seed)

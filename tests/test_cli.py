@@ -5,8 +5,8 @@ import pytest
 
 from oredim import cli
 from oredim.chains import build_degree_p_attachment
-from oredim.fields import PrimeField
-from oredim.groupring import GroupRingElement, GroupRingMatrix
+from oredim.fields import PrimeField, Rationals
+from oredim.groupring import GroupRingElement, GroupRingMatrix, to_laurent
 from oredim.groups import DihedralInfinite, Zd
 from oredim.jsonio import encode_complex, encode_matrix
 
@@ -153,7 +153,7 @@ def test_vdim_command_plane_pins_index_normalizer(tmp_path, capsys):
     assert code == 0
     assert out.splitlines() == [
         "method,level,normalizer,raw,normalized,certified",
-        "virtual-ore,0,4,4,1/1,false"]
+        "virtual-ore,0,4,4,1/1,true"]
 
 
 def test_approx_dihedral_target_row(dihedral_module_path, capsys):
@@ -203,38 +203,55 @@ def test_json_report_reparses(z_module_path, capsys):
     code, out, _ = run(capsys, ["approx", "--input", z_module_path,
                                 "--levels", "2,4", "--format", "json"])
     assert code == 0
-    records = cli.parse_report(out)
-    assert any(r.method == "ore" for r in records)
     payload = json.loads(out)
+    assert any(r["method"] == "ore" for r in payload["records"])
     assert payload["tol"] == "1/20"
     assert set(payload["agreement"]) == {"quotient-betti", "elek-truncation"}
 
 
-def test_certified_gate_surfaces_as_exit_3(tmp_path, capsys):
-    group = Zd(1)
-    matrix = GroupRingMatrix(F2, group, 9, 9, {
-        (i, i): GroupRingElement(F2, group, {(1,): 1}) for i in range(9)})
-    path = write_json(tmp_path / "big.json", encode_matrix(matrix))
-    code, _, err = run(capsys, ["ore", "--input", path, "--rank-alg", "bareiss"])
-    assert code == 3 and "certified rank" in err
+# the options each subcommand reads; --rank-alg is gone from all of them
+ACCEPTED = {
+    "ore": {"--seed", "--out", "--format"},
+    "vdim": {"--seed", "--out", "--format"},
+    "betti-finite": {"--seed", "--out", "--format"},
+    "folner": {"--levels", "--seed", "--out", "--format"},
+    "homology": {"--levels", "--seed", "--out", "--format"},
+    "approx": {"--levels", "--seed", "--tol", "--out", "--format"},
+}
+OPTION_VALUES = {"--levels": "2", "--seed": "1", "--tol": "1/2", "--out": "o.csv",
+                 "--format": "json", "--rank-alg": "auto"}
 
 
-def test_plain_kernels_are_no_rank_alg(z_module_path, capsys):
-    assert cli.RANK_ALGS == ("auto", "bareiss", "prob")
-    for alg in ("dense", "sparse"):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["ore", "--input", z_module_path, "--rank-alg", alg])
-        assert exc.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+def test_each_subcommand_accepts_only_its_options():
+    parser = cli.build_parser()
+    for command, accepted in ACCEPTED.items():
+        for option, value in OPTION_VALUES.items():
+            try:
+                parser.parse_args([command, "--input", "in.json", option, value])
+                ok = True
+            except SystemExit:
+                ok = False
+            assert ok == (option in accepted), (command, option)
 
 
-@pytest.mark.parametrize("d,terms,extra", [
-    (2, {(10**17, 0): 1, (0, 1): 1}, []),
-    (1, {(10**17,): 1, (0,): 1}, ["--rank-alg", "prob"]),
+@pytest.mark.parametrize("option", [["--tol", "1/2"], ["--levels", "2"],
+                                    ["--rank-alg", "auto"]], ids=lambda o: o[0])
+def test_ore_rejects_options_it_does_not_read(z_module_path, capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ore", "--input", z_module_path] + option)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d,terms", [
+    (2, {(10**17, 0): 1, (0, 1): 1}),
+    (1, {(10**17,): 1, (0,): 1}),
 ], ids=("bivariate", "univariate-prob"))
-def test_ore_huge_degree_needs_no_lex_search(tmp_path, capsys, d, terms, extra):
+def test_ore_huge_degree_needs_no_lex_search(tmp_path, capsys, d, terms):
     # the trial points lie in F_{p^4}, p = 1000003 = 3 (mod 4), where no
-    # x^4 + c is irreducible; lex order alone tested a million candidates
+    # x^4 + c is irreducible; lex order alone tested a million candidates.
+    # rank_laurent ranks a univariate 1x1 by Bareiss, so that case calls
+    # the evaluation directly.
     from oredim import linalg
 
     field = PrimeField(1000003)
@@ -243,10 +260,27 @@ def test_ore_huge_degree_needs_no_lex_search(tmp_path, capsys, d, terms, extra):
     path = write_json(tmp_path / "huge.json", encode_matrix(matrix))
     linalg._find_irreducible.cache_clear()
     start = time.perf_counter()
-    code, out, _ = run(capsys, ["ore", "--input", path] + extra)
+    if d == 1:
+        report = linalg.rank_laurent_probabilistic(to_laurent(matrix))
+        assert report.rank == 1 and report.certified
+    else:
+        code, out, _ = run(capsys, ["ore", "--input", path])
+        assert code == 0
+        assert out.splitlines()[1] == "ore,0,1,0,0/1,true"
     assert time.perf_counter() - start < 2
-    assert code == 0
-    assert out.splitlines()[1] == "ore,0,1,0,0/1,false"
+
+
+def test_ore_q_degree_too_large_to_evaluate_exits_3(tmp_path, capsys):
+    # a trial over Q would raise integers near 6.4e7 to the 10^6-th power
+    field = Rationals()
+    matrix = GroupRingMatrix(field, Zd(2), 1, 1, {
+        (0, 0): GroupRingElement(field, Zd(2), {(10**6, 0): 1, (0, 1): 1})})
+    path = write_json(tmp_path / "qhuge.json", encode_matrix(matrix))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["ore", "--input", path])
+    assert time.perf_counter() - start < 2
+    assert code == 3 and out == ""
+    assert "26000000 bits" in err
 
 
 def test_selftest_aggregation(monkeypatch, capsys):

@@ -59,8 +59,9 @@ def test_ore_of_identity_presentation():
 
 
 def test_ore_plane_module():
+    # [z1-1, z2-1] has full rank 1, which one evaluation proves
     v = ore_dim(plane_module(F2))
-    assert v.value == 1 and not v.certified
+    assert v.value == 1 and v.certified
     assert v.normalizer == 1
 
 

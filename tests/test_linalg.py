@@ -1,4 +1,6 @@
+import functools
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +9,6 @@ import pytest
 from helpers import (first_irreducible, oracle_laurent_rank, oracle_rank,
                      oracle_rank_q, polymulmod, rabin_irreducible)
 from oredim import linalg
-from oredim.errors import UnsupportedOperationError
 from oredim.fields import PrimeField, Rationals
 from oredim.linalg import (LaurentMatrix, PlainMatrix, poly_add, poly_divexact,
                            poly_monomial_shift, poly_mul, rank_dense, rank_laurent,
@@ -365,8 +366,14 @@ def test_poly_divexact_detects_inexact():
 # -- probabilistic -------------------------------------------------------------
 
 def test_probabilistic_one_by_one():
+    # a trial at full rank proves the rank: evaluation never raises it
     z = LaurentMatrix(F2, 1, 1, 1, {(0, 0): {(1,): 1, (0,): 1}})
     report = rank_laurent_probabilistic(z, seed=0)
+    assert report.rank == 1 and report.certified and report.failure_bound == 0
+    # below full rank the value carries its Schwartz-Zippel bound
+    twice = LaurentMatrix(F2, 1, 2, 2, {(i, j): {(1,): 1, (0,): 1}
+                                        for i in range(2) for j in range(2)})
+    report = rank_laurent_probabilistic(twice, seed=0)
     assert report.rank == 1 and not report.certified
     assert 0 < report.failure_bound < Fraction(1, 10**5)
 
@@ -423,7 +430,7 @@ def test_probabilistic_huge_exponents_at_largest_prime():
         (0, 0): a, (0, 1): b,
         (1, 0): poly_monomial_shift(a, (n,)), (1, 1): poly_monomial_shift(b, (n,))})
     report = rank_laurent_probabilistic(m)
-    assert report.rank == 1
+    assert report.rank == 1 and not report.certified
     assert report.failure_bound == Fraction(2 * 2 * n, p ** 3 - 1) ** 3
 
 
@@ -473,24 +480,62 @@ def test_rank_laurent_auto_certifies_small_univariate():
 def test_rank_laurent_auto_probabilistic_for_two_vars():
     m = LaurentMatrix(F2, 2, 1, 1, {(0, 0): {(1, 1): 1}})
     report = rank_laurent(m)
-    assert not report.certified and report.rank == 1
+    assert report.certified and report.failure_bound == 0 and report.rank == 1
 
 
-def test_rank_laurent_bareiss_gate():
-    big = LaurentMatrix(F2, 1, 9, 9, {(i, i): {(1,): 1} for i in range(9)})
-    with pytest.raises(UnsupportedOperationError, match="certified rank"):
-        rank_laurent(big, alg="bareiss")
-    three_vars = LaurentMatrix(F2, 3, 2, 2, {(0, 0): {(0, 0, 1): 1}})
-    with pytest.raises(UnsupportedOperationError):
-        rank_laurent(three_vars, alg="bareiss")
-    # within the gate, bareiss certifies
-    ok = LaurentMatrix(F5, 2, 5, 5, {(i, i): {(1, 1): 1} for i in range(5)})
-    report = rank_laurent(ok, alg="bareiss")
-    assert report.certified and report.rank == 5
-    # plain-matrix kernels are no Laurent algorithms
-    for alg in ("nonsense", "dense", "sparse"):
-        with pytest.raises(ValueError, match="unknown rank algorithm"):
-            rank_laurent(ok, alg=alg)
+def poly_matmul(a, b, field):
+    """Product of matrices given as lists of rows of polynomials."""
+    return [[functools.reduce(lambda acc, t: poly_add(acc, t, field),
+                              (poly_mul(x, y, field) for x, y in zip(row, col)), {})
+             for col in zip(*b)] for row in a]
+
+
+def univariate(field, grid):
+    return LaurentMatrix(field, 1, len(grid), len(grid[0]),
+                         {(i, j): q for i, row in enumerate(grid)
+                          for j, q in enumerate(row) if q})
+
+
+def test_rank_laurent_gives_up_on_dense_bareiss():
+    # a dense 8x8 of rank 7 over Q with exponents in [-5, 5]: uncapped
+    # Bareiss takes about 3 s on it, evaluation about 0.03 s
+    rng = random.Random(151)
+    coeffs = [c for c in range(-9, 10) if c]
+    u = [[{(e,): rng.choice(coeffs) for e in range(-3, 3)} for _ in range(7)]
+         for _ in range(8)]
+    v = [[{(e,): rng.choice(coeffs) for e in range(-2, 4)} for _ in range(8)]
+         for _ in range(7)]
+    m = univariate(Q, poly_matmul(u, v, Q))
+    start = time.perf_counter()
+    report = rank_laurent(m)
+    assert time.perf_counter() - start < 1
+    assert report.rank == 7 and not report.certified
+    assert report == rank_laurent_probabilistic(m)
+
+
+@pytest.mark.parametrize("field", [F3, PrimeField(1000003), Q], ids=("F_3", "F_1000003", "Q"))
+def test_rank_laurent_certifies_sparse_udv(field):
+    # U.D.V as the bench builds it: U and V are monomial-scaled reversals
+    # times unitriangular matrices with two units below the diagonal, D
+    # holds six binomials.  Rank 6 of 8 is below full rank, so only a
+    # finished Bareiss elimination certifies it.
+    rng = random.Random(157)
+
+    def unit():
+        return {(rng.choice((1, -1)),): field.normalize(rng.choice((1, -1, 2)))}
+
+    def unimodular(n):
+        scaled = [[unit() if j == n - 1 - i else {} for j in range(n)] for i in range(n)]
+        tri = [[{(0,): field.one} if j == i else unit() if i - 2 <= j < i else {}
+                for j in range(n)] for i in range(n)]
+        return poly_matmul(scaled, tri, field)
+
+    diag = [[{(0,): field.normalize(rng.choice((1, 2))), **unit()} if i == j < 6 else {}
+             for j in range(8)] for i in range(8)]
+    m = univariate(field, poly_matmul(poly_matmul(unimodular(8), diag, field),
+                                      unimodular(8), field))
+    report = rank_laurent(m)
+    assert report.rank == 6 and report.certified and report.failure_bound == 0
 
 
 def test_rank_plain_dispatcher():
