@@ -8,7 +8,8 @@ Two matrix flavors:
   one kernel for Q.  ``rank_dense`` is Gaussian elimination on a numpy
   int64 array, over F_p only: ``rank_plain`` sends small or dense F_p
   matrices to it, and ``rank_sparse`` hands it the rest of an F_p
-  elimination once fill-in passes 50% of the remaining block.
+  elimination once fill-in passes 50% of the remaining block.  Its kernel,
+  ``_rank_dense_modp``, is the one dense eliminator, over F_p and F_{p^e}.
 
 * ``LaurentMatrix`` -- matrices whose entries are Laurent polynomials in d
   commuting variables, i.e. matrices over the rational function field
@@ -18,9 +19,10 @@ Two matrix flavors:
   ``rank_laurent_probabilistic`` evaluates the variables at random points
   of an extension field F_{p^e} (random integers over Q) large enough that
   the Schwartz-Zippel bound on losing rank is tiny, and reports that bound.
-  Over F_p each trial is ranked by the numpy F_p kernel after restriction
-  of scalars: every entry becomes its e x e multiplication matrix over
-  F_p, which multiplies the rank by e.  ``rank_laurent`` picks between them.
+  Over F_p each trial is ranked over F_{p^e} in place by the dense kernel,
+  each entry a coefficient vector over F_p and each pivot step a
+  fraction-free update through e x e multiplication blocks.
+  ``rank_laurent`` picks between them.
 
 Evaluation can only lose rank, so the probabilistic answer is a certified
 lower bound, certified outright at full rank min(r, s); below that it is
@@ -74,8 +76,10 @@ PROBABILISTIC_TRIALS = 3
 # (43, 15) and (43, 16), which it reaches at 269 to 605.
 IRREDUCIBLE_SEARCH_LIMIT = 256
 
-# A trial over Q raises integers up to 64*D to each exponent: its largest
-# power has about maxdeg * bit_length(64*D) bits.  On [x^n + y] the trials
+# A trial over Q raises integers up to 64*D to each exponent of the
+# row-cleared terms (up to twice maxdeg per variable): its largest power has
+# about top * bit_length(64*D) bits, top the largest total degree of a
+# cleared term.  On [x^n + y] (top = n) the trials
 # took 0.15 s at 1.03e6 bits (n = 47,000), 0.53 s at 2.3e6 and 3.4 s at
 # 7.5e6, one thread; bench Q matrices stay under 100 bits.
 Q_POWER_BITS_LIMIT = 1 << 20
@@ -123,30 +127,59 @@ class PlainMatrix:
         return f"PlainMatrix({self.field!r}, {self.nrows}x{self.ncols}, nnz={self.nnz})"
 
 
-def _rank_dense_modp(a: np.ndarray, p: int) -> int:
-    """Row reduction over F_p; pivot = first nonzero in the column.
+def _rank_dense_modp(a: np.ndarray, p: int, cpow: Optional[np.ndarray] = None) -> int:
+    """Row reduction over F_{p^e}; pivot = first nonzero in the column.
+
+    ``a`` is r x (s*e): cell (i, j) is the coefficient vector
+    a[i, j*e:(j+1)*e] of an element of F_{p^e} = F_p[x]/(f), and ``cpow``
+    is C^0..C^(e-1) for the companion matrix C of f (``_companion_powers``).
+    Without ``cpow``, e = 1: each pivot row is scaled to 1 and clears the
+    rows below.  For e > 1 each step is fraction-free,
+    row_i <- a_rc * row_i - a_ic * row_r, so no inverse in F_{p^e} is
+    needed; both products are e x e multiplication blocks applied by
+    ``_matmul_mod``, and the loop runs once per column of the r x s matrix.
 
     int64 is safe: residues are < 2^31, so products stay below 2^62.
     """
+    e = 1 if cpow is None else cpow.shape[0]
     a = np.asarray(a, dtype=np.int64) % p
-    nrows, ncols = a.shape
+    nrows = a.shape[0]
+    if e > 1:
+        a = a.reshape(nrows, a.shape[1] // e, e)
     r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if a[i, c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
+    for c in range(a.shape[1]):
+        if e == 1:
+            pivot = None
+            for i in range(r, nrows):
+                if a[i, c]:
+                    pivot = i
+                    break
+            if pivot is None:
+                continue
+        else:
+            live = np.flatnonzero(a[r:, c].any(axis=1))
+            if not live.size:
+                continue
+            pivot = r + live[0]
         if pivot != r:
             a[[r, pivot]] = a[[pivot, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        below = a[r + 1:, c]
-        hit = np.nonzero(below)[0]
-        if hit.size:
-            rows = hit + r + 1
-            a[rows] = (a[rows] - np.outer(a[rows, c], a[r])) % p
+        if e == 1:
+            a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+            below = a[r + 1:, c]
+            hit = np.nonzero(below)[0]
+            if hit.size:
+                rows = hit + r + 1
+                a[rows] = (a[rows] - np.outer(a[rows, c], a[r])) % p
+        elif live.size > 1:
+            # live[0] was the pivot; a row swapped into its slot was zero in
+            # column c, so r + live[1:] are the other live rows
+            rows = r + live[1:]
+            tail = a[rows, c + 1:]
+            scale = _multiplication_blocks(a[r, c][None], cpow, p)[0]
+            heads = _multiplication_blocks(a[rows, c], cpow, p)
+            a[rows, c + 1:] = (
+                _matmul_mod(tail, scale.T, p)
+                - _matmul_mod(a[r, c + 1:], heads.transpose(0, 2, 1), p)) % p
         r += 1
         if r == nrows:
             break
@@ -507,13 +540,13 @@ def rank_laurent_bareiss(m: LaurentMatrix, *, _work_limit=None) -> Optional[int]
     return rank
 
 
-# -- F_{p^e} by restriction of scalars (internal to the probabilistic engine)
+# -- F_{p^e} as coefficient vectors (internal to the probabilistic engine)
 #
 # F_{p^e} = F_p[x]/(f) with f = _find_irreducible(p, e), and an element is
 # its coefficient vector (constant term first).  Multiplication by b is the
 # F_p-linear map whose column l is the vector of b * x^l = C^l b, C the
-# companion matrix of f.  Replacing every entry of a matrix over F_{p^e} by
-# that e x e block multiplies its rank by e, so the F_p kernel ranks it.
+# companion matrix of f; ``_rank_dense_modp`` applies these e x e blocks to
+# whole rows of a matrix over F_{p^e} at each pivot step.
 
 def _prime_factors(n: int):
     out = set()
@@ -563,20 +596,30 @@ def _find_irreducible(p: int, e: int):
     random candidate in e is irreducible.
 
     Candidates with a root at 0, 1 or -1 have a linear factor and are
-    skipped.  The rest get Rabin's test on the companion matrix C: f is
+    skipped, and so are the binomials x^e + c where none is irreducible.
+    By Capelli's theorem x^e - a is irreducible over F_p iff a is no q-th
+    power for every prime q | e, and a is not in -4 F_p^4 when 4 | e.  Every
+    a is a q-th power when q does not divide p - 1, and every a that is not
+    a square lies in -4 F_p^4 when 4 does not divide p - 1.  Skipped
+    candidates still count against the limit, so no (p, e) changes its
+    polynomial.  The rest get Rabin's test on the companion matrix C: f is
     irreducible iff C^(p^e) = C and C^(p^(e/q)) - C, the multiplication
     by x^(p^(e/q)) - x, is invertible for every prime q dividing e.
     """
     if e == 1:
         return [0, 1]
-    steps = [e // q for q in _prime_factors(e)] + [e]
+    primes = _prime_factors(e)
+    no_binomial = (any((p - 1) % q for q in primes)
+                   or (e % 4 == 0 and (p - 1) % 4 != 0))
+    steps = [e // q for q in primes] + [e]
     rng = random.Random(f"{p}:{e}")
     in_order = ([k // p ** i % p for i in range(e)] + [1]
                 for k in range(min(p ** e, IRREDUCIBLE_SEARCH_LIMIT)))
     drawn = ([rng.randrange(p) for _ in range(e)] + [1]
              for _ in range(IRREDUCIBLE_SEARCH_LIMIT))
     for f in itertools.chain(in_order, drawn):
-        if any(sum(c * a ** i for i, c in enumerate(f)) % p == 0 for a in (0, 1, -1)):
+        if (no_binomial and not any(f[1:e])) or any(
+                sum(c * a ** i for i, c in enumerate(f)) % p == 0 for a in (0, 1, -1)):
             continue
         c = _companion(f, p)
         frob = _matrix_powers(c, [p ** n for n in steps], p)
@@ -682,17 +725,17 @@ def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0) -> RankReport:
     a uniformly random point from a sample space of size >= 64*D witnesses
     full generic rank except with probability <= D/|space| per trial.
 
-    Over F_p the points lie in F_{p^e}, e the least degree with
-    p^e - 1 >= 64*D (e = 1 when p is large enough).  Each row is first
-    scaled by the monomial clearing its negative exponents, which does not
-    change the rank at any point, so evaluation needs no inverses.  A trial
-    evaluates every monomial once, as a vector over F_p, sums the terms of
-    each entry, and ranks the (r*e) x (s*e) matrix of multiplication blocks
-    over F_p (restriction of scalars); that rank is e times the rank over
-    F_{p^e}.
+    Each row is first scaled by the monomial clearing its negative
+    exponents, which does not change the rank at any point, so evaluation
+    needs no inverses.  Over F_p the points lie in F_{p^e}, e the least
+    degree with p^e - 1 >= 64*D (e = 1 when p is large enough).  A trial
+    evaluates every monomial once, as a coefficient vector over F_p, sums
+    the terms of each entry, and hands the r x (s*e) array of entries to
+    the dense kernel, which ranks it over F_{p^e}.
 
-    Over Q the points are integers and the powers exact, so a matrix whose
-    largest power would pass Q_POWER_BITS_LIMIT bits is refused.
+    Over Q the points are integers and the powers of the cleared exponents
+    exact, so a matrix whose largest such power would pass
+    Q_POWER_BITS_LIMIT bits is refused.
     """
     r, s = m.nrows, m.ncols
     if r == 0 or s == 0 or not m.entries:
@@ -727,15 +770,14 @@ def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0) -> RankReport:
                                    vals[:, :, None], p)[:, :, 0]
             values = np.zeros((r * s, e), dtype=np.int64)
             values[cells] = np.add.reduceat(coeffs * vals[term_monos] % p, starts) % p
-            blocks = _multiplication_blocks(values, cpow, p).reshape(r, s, e, e)
-            rank = _rank_dense_modp(blocks.transpose(0, 2, 1, 3).reshape(r * e, s * e), p)
-            if rank % e:
-                raise ArithmeticError(
-                    f"rank {rank} over F_{p} of a matrix realified from "
-                    f"F_{p}^{e} is not a multiple of {e}")
-            return rank // e
+            return _rank_dense_modp(values.reshape(r, s * e), p, cpow)
     else:
-        bits = m.max_entry_degree() * target.bit_length()
+        shifts = _clearing_shifts(m)
+        cleared = {(i, j): [(tuple(map(operator.add, exp, shifts[i])), v)
+                            for exp, v in poly.items()]
+                   for (i, j), poly in m.entries.items()}
+        top = max(sum(exp) for terms in cleared.values() for exp, _ in terms)
+        bits = top * target.bit_length()
         if bits > Q_POWER_BITS_LIMIT:
             raise UnsupportedOperationError(
                 f"evaluating this matrix over Q needs powers of about {bits} bits, "
@@ -743,10 +785,9 @@ def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0) -> RankReport:
         sample_size = target
 
         def trial(rng):
-            point = [Fraction(rng.randrange(1, target + 1)) for _ in range(m.nvars)]
-            values = {k: sum(v * math.prod(map(operator.pow, point, exp))
-                             for exp, v in poly.items())
-                      for k, poly in m.entries.items()}
+            point = [rng.randrange(1, target + 1) for _ in range(m.nvars)]
+            values = {k: sum(v * math.prod(map(pow, point, exp)) for exp, v in terms)
+                      for k, terms in cleared.items()}
             return rank_plain(PlainMatrix(m.field, r, s, values))
     best = 0
     for k in range(PROBABILISTIC_TRIALS):

@@ -186,6 +186,23 @@ def rabin_irreducible(f, p):
                for q in primes)
 
 
+def oracle_rank_ext(cells, modulus, p):
+    """Rank over F_{p^e} = F_p[x]/(modulus) of a matrix of coefficient
+    lists, by restriction of scalars: each cell b becomes the e x e block
+    whose column l is b * x^l, and the rank over F_p of the realified
+    matrix is e times the rank over F_{p^e}."""
+    e = len(modulus) - 1
+    rows = []
+    for row in cells:
+        blocks = [[polymulmod(b, [0] * l + [1], modulus, p) for l in range(e)]
+                  for b in row]
+        for k in range(e):
+            rows.append([column[k] for block in blocks for column in block])
+    rank = oracle_rank_modp(rows, p)
+    assert rank % e == 0, (rank, e)
+    return rank // e
+
+
 # -- polynomial determinant oracle (for tiny Laurent matrices) -------------
 
 def _po_mul(a, b, field):

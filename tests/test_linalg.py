@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from helpers import (first_irreducible, oracle_laurent_rank, oracle_rank,
-                     oracle_rank_q, polymulmod, rabin_irreducible)
+                     oracle_rank_ext, oracle_rank_q, polymulmod, rabin_irreducible)
 from oredim import linalg
+from oredim.errors import UnsupportedOperationError
 from oredim.fields import PrimeField, Rationals
 from oredim.linalg import (LaurentMatrix, PlainMatrix, poly_add, poly_divexact,
                            poly_monomial_shift, poly_mul, rank_dense, rank_laurent,
@@ -111,6 +112,60 @@ def test_rank_dense_huge_prime_matches_bigint_oracle():
     for _ in range(10):
         rows = [[rng.randrange(p) for _ in range(4)] for _ in range(4)]
         assert rank_dense(dense(field, rows)) == oracle_rank(rows, field)
+
+
+def _ext_product(b, c, modulus, p):
+    """The product of two matrices over F_p[x]/(modulus) of coefficient lists."""
+    e = len(modulus) - 1
+    out = []
+    for row in b:
+        out.append([])
+        for j in range(len(c[0])):
+            total = [0] * e
+            for x, col in zip(row, c):
+                total = [(u + v) % p for u, v in zip(total, polymulmod(x, col[j], modulus, p))]
+            out[-1].append(total)
+    return out
+
+
+# (2^31-1, 3) takes the split path of _matmul_mod: 3 (p-1)^2 >= 2^63
+@pytest.mark.parametrize("p,e", [(2, 13), (3, 8), (5, 5), (1000003, 2), (2**31 - 1, 3)])
+def test_rank_dense_over_extension_matches_realified_oracle(p, e):
+    modulus = linalg._find_irreducible(p, e)
+    cpow = linalg._companion_powers(p, e)
+    rng = random.Random(p * 17 + e)
+
+    def rand(nrows, ncols):
+        return [[[rng.randrange(p) for _ in range(e)] for _ in range(ncols)]
+                for _ in range(nrows)]
+
+    zero = [0] * e
+    cases = []
+    # rank-deficient products B C of inner size k, with r > s and r < s
+    for r, s, k in ((7, 4, 3), (4, 7, 2), (6, 6, 5), (5, 5, 1)):
+        cases.append(_ext_product(rand(r, k), rand(k, s), modulus, p))
+    # zero columns between live ones
+    m = _ext_product(rand(6, 3), rand(3, 5), modulus, p)
+    for row in m:
+        row[0] = row[3] = zero
+    cases.append(m)
+    # column 0 of B C is B[:, 0] C[0][0], live only in rows 3 and 5, so its
+    # pivot lies below the first live row
+    b, c = rand(6, 3), rand(3, 5)
+    for i in (0, 1, 2, 4):
+        b[i][0] = zero
+    c[1][0] = c[2][0] = zero
+    cases.append(_ext_product(b, c, modulus, p))
+    cases.append([[zero] * 4 for _ in range(3)])
+    ranks = []
+    for cells in cases:
+        a = np.array([[x for cell in row for x in cell] for row in cells], dtype=np.int64)
+        before = a.copy()
+        rank = linalg._rank_dense_modp(a, p, cpow)
+        assert rank == oracle_rank_ext(cells, modulus, p)
+        assert (a == before).all()
+        ranks.append(rank)
+    assert ranks == [3, 2, 5, 1, 3, 3, 0]
 
 
 # -- sparse ranks -------------------------------------------------------------
@@ -434,11 +489,60 @@ def test_probabilistic_huge_exponents_at_largest_prime():
     assert report.failure_bound == Fraction(2 * 2 * n, p ** 3 - 1) ** 3
 
 
+def test_probabilistic_ranks_trials_over_the_extension_in_place(monkeypatch):
+    # a bench-shaped 24x25 matrix over F_2 in two variables whose last four
+    # rows repeat the first four: each trial hands the dense kernel the
+    # 24 x (25 e) array of F_{2^e} coefficient vectors, not the 24e x 25e
+    # matrix of its e x e multiplication blocks
+    rng = random.Random(151)
+    top = random_laurent(rng, F2, 2, 20, 25).entries
+    m = LaurentMatrix(F2, 2, 24, 25, {**top, **{(i + 20, j): poly for (i, j), poly
+                                                in top.items() if i < 4}})
+    want = rank_laurent_probabilistic(m, seed=5)
+    assert want.rank == 20 and not want.certified
+    shapes = []
+    real = linalg._rank_dense_modp
+    monkeypatch.setattr(linalg, "_rank_dense_modp",
+                        lambda a, p, cpow=None: shapes.append(
+                            (a.shape, None if cpow is None else cpow.shape[0]))
+                        or real(a, p, cpow))
+    assert rank_laurent_probabilistic(m, seed=5) == want
+    e = shapes[0][1]
+    assert e > 1 and shapes == [((24, 25 * e), e)] * linalg.PROBABILISTIC_TRIALS
+
+
 def test_probabilistic_rational_field():
     m = LaurentMatrix(Q, 2, 2, 2, {(0, 0): {(1, 0): 1}, (0, 1): {(0, 1): 1},
                                    (1, 0): {(0, 1): 1}, (1, 1): {(1, 0): 1}})
     # determinant t1^2 - t2^2 is nonzero, so generic rank is 2
     assert rank_laurent_probabilistic(m, seed=3).rank == 2
+
+
+def test_probabilistic_rational_matches_minor_oracle_with_negative_exponents():
+    # the Q trials evaluate the row-cleared terms at integer points
+    rng = random.Random(157)
+    for k in range(10):
+        entries = {}
+        for i in range(3):
+            for j in range(3):
+                poly = {(rng.randint(-2, 2), rng.randint(-2, 2)):
+                        Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2)}
+                entries[(i, j)] = {x: v for x, v in poly.items() if v}
+        entries.update({(2, j): poly_monomial_shift(poly, (-1, 2))
+                        for (i, j), poly in list(entries.items()) if i == 0})
+        m = LaurentMatrix(Q, 2, 3, 3, entries)
+        assert rank_laurent_probabilistic(m, seed=k).rank == oracle_laurent_rank(m)
+
+
+def test_probabilistic_rational_power_limit_reads_cleared_exponents():
+    # x^-n + x^n has total degree n, but clearing the row makes it 1 + x^(2n):
+    # a trial raises points near 64n to the 2n-th power
+    n = 30000
+    m = LaurentMatrix(Q, 1, 1, 1, {(0, 0): {(-n,): 1, (n,): 1}})
+    bits = 2 * n * (64 * n).bit_length()
+    assert n * (64 * n).bit_length() <= linalg.Q_POWER_BITS_LIMIT < bits
+    with pytest.raises(UnsupportedOperationError, match=f"{bits} bits"):
+        rank_laurent_probabilistic(m)
 
 
 def test_probabilistic_never_exceeds_bareiss():
@@ -578,11 +682,21 @@ def test_find_irreducible_matches_trial_division(p, top):
 def test_find_irreducible_bounded_search():
     # the deepest lex-first irreducible of p <= 13, e <= 16: candidate 191
     assert linalg._find_irreducible(13, 10) == [9, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1]
+    # every x^4 + c over F_7 and every x^3 + c over F_11 is reducible
+    assert linalg._find_irreducible(7, 4) == [1, 1, 0, 0, 1]
+    assert linalg._find_irreducible(11, 3) == [4, 1, 0, 1]
     # no x^4 + c is irreducible over F_1000003 (1000003 = 3 mod 4), so lex
     # order would test a million candidates; the random phase finds one
     f = linalg._find_irreducible(1000003, 4)
-    assert len(f) == 5 and f[-1] == 1 and any(f[1:4])
+    assert f == [612485, 645640, 271913, 674206, 1]
     assert rabin_irreducible(f, 1000003)
+    # the 256 lex candidates at p = 2^31 - 1 are all such binomials, and
+    # they are skipped without Rabin's test
+    linalg._find_irreducible.cache_clear()
+    start = time.perf_counter()
+    f = linalg._find_irreducible(2**31 - 1, 4)
+    assert time.perf_counter() - start < 0.5
+    assert f == [1058765899, 1753360988, 1755736461, 1707527090, 1]
 
 
 def test_matmul_mod_exact_at_largest_prime():
