@@ -14,14 +14,12 @@ discrete Heisenberg group, plus homology dimensions of finite free chain
 complexes over these group rings.
 """
 
-from .chains import (CharComparisonReport, FreeChainComplex, HomologyReport,
-                     build_degree_p_attachment, build_koszul, char_comparison,
-                     finite_group_betti, homology_report, ore_homology,
-                     quotient_homology)
-from .dimensions import (ApproxReport, ConvergenceTable, DimensionValue,
-                         Method, ReportConfig, TableRow, approx_report,
-                         default_subgroup, elek_truncation_dim, ore_dim,
-                         quotient_betti_dim, virtual_ore_dim)
+from .chains import (FreeChainComplex, build_degree_p_attachment, build_koszul,
+                     char_comparison, finite_group_betti, homology_report,
+                     ore_homology, quotient_homology)
+from .dimensions import (Record, approx_report, default_subgroup,
+                         elek_truncation_dim, ore_dim, quotient_betti_dim,
+                         virtual_ore_dim)
 from .errors import (MismatchError, OredimError, SchemaError,
                      UnsupportedOperationError)
 from .fields import Field, PrimeField, Rationals, is_prime

@@ -8,19 +8,19 @@ come from rank-nullity, never from explicit kernels:
     dim H_i = r_i * N - rank(c_i) - rank(c_(i+1))
 
 both at finite quotients (plain ranks over k) and over the fraction field
-of k[Z^d] (Laurent ranks).  Builders cover the standard desk examples: a
-circle wedge a d-sphere with a (d+1)-cell attached along a degree-p map,
-Koszul complexes of Z^d, and the periodic resolutions behind the Betti
-numbers of finite quotient groups (Z/n)^d.
+of k[Z^d] (Laurent ranks).  Both come back as ``dimensions.Record`` rows:
+``ore-h{i}`` at level 0 with normalizer 1, and ``quotient-h{i}`` at each
+quotient level, normalized by its index.  Builders cover the standard
+desk examples: a circle wedge a d-sphere with a (d+1)-cell attached along
+a degree-p map, Koszul complexes of Z^d, and the periodic resolutions
+behind the Betti numbers of finite quotient groups (Z/n)^d.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .dimensions import DEFAULT_QUOTIENT_LEVELS, resolve_levels
+from .dimensions import DEFAULT_QUOTIENT_LEVELS, Record, resolve_levels
 from .errors import UnsupportedOperationError
 from .fields import Field, PrimeField, Rationals
 from .groupring import GroupRingElement, GroupRingMatrix, induce_to_quotient, to_laurent
@@ -68,26 +68,11 @@ class FreeChainComplex:
         return f"FreeChainComplex({self.field!r}, {self.group!r}, ranks={self.ranks})"
 
 
-@dataclass(frozen=True)
-class HomologyRow:
-    level: int
-    index: int
-    dims: Tuple[int, ...]
-    normalized: Tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class HomologyReport:
-    ranks: Tuple[int, ...]
-    rows: Tuple[HomologyRow, ...]
-    ore: Optional[Tuple[Fraction, ...]] = None
-    certified: bool = True
-
-
 def quotient_homology(complex_: FreeChainComplex,
-                      levels: Optional[Sequence[int]] = None) -> HomologyReport:
-    """Homology dimensions of the induced complex at each quotient level;
-    ``levels`` defaults to the group's ``DEFAULT_QUOTIENT_LEVELS``."""
+                      levels: Optional[Sequence[int]] = None) -> List[Record]:
+    """``quotient-h{i}`` rows: homology dimensions of the induced complex,
+    level by level and degree by degree within a level; ``levels``
+    defaults to the group's ``DEFAULT_QUOTIENT_LEVELS``."""
     rows = []
     for n in resolve_levels(levels, DEFAULT_QUOTIENT_LEVELS, complex_.group):
         quotient = complex_.group.quotient(n)
@@ -101,29 +86,28 @@ def quotient_homology(complex_: FreeChainComplex,
         # Rank-nullity makes the alternating sums match identically.
         assert sum((-1) ** i * d for i, d in enumerate(dims)) == \
             idx * sum((-1) ** i * r for i, r in enumerate(complex_.ranks))
-        rows.append(HomologyRow(n, idx, dims,
-                                tuple(Fraction(d, idx) for d in dims)))
-    return HomologyReport(complex_.ranks, tuple(rows))
+        rows.extend(Record(f"quotient-h{i}", n, idx, d) for i, d in enumerate(dims))
+    return rows
 
 
 def homology_report(complex_: FreeChainComplex,
                     levels: Optional[Sequence[int]] = None,
-                    seed: int = 0) -> HomologyReport:
-    """Quotient homology table, with the exact Ore row filled in whenever
-    the group ring admits it (Z^d only)."""
+                    seed: int = 0) -> List[Record]:
+    """The exact Ore rows whenever the group ring admits them (Z^d only),
+    followed by the quotient homology rows."""
     table = quotient_homology(complex_, levels)
     if isinstance(complex_.group, Zd):
-        dims, certified = ore_homology(complex_, seed=seed)
-        return HomologyReport(table.ranks, table.rows, dims, certified)
+        return ore_homology(complex_, seed=seed) + table
     return table
 
 
-def ore_homology(complex_: FreeChainComplex, seed: int = 0) -> Tuple[Tuple[Fraction, ...], bool]:
-    """Per-degree Ore dimensions of homology for a complex over k[Z^d].
+def ore_homology(complex_: FreeChainComplex, seed: int = 0) -> List[Record]:
+    """``ore-h{i}`` rows: per-degree Ore dimensions of homology for a
+    complex over k[Z^d].
 
-    Returns the dimensions together with a certification flag (False as
-    soon as one ``rank_laurent`` result is uncertified, i.e. came from
-    evaluation below full rank).
+    Every row carries the complex-wide certification flag: False as soon
+    as one ``rank_laurent`` result is uncertified, i.e. came from
+    evaluation below full rank.
     """
     if not isinstance(complex_.group, Zd):
         raise UnsupportedOperationError(
@@ -134,9 +118,9 @@ def ore_homology(complex_: FreeChainComplex, seed: int = 0) -> Tuple[Tuple[Fract
         report = rank_laurent(to_laurent(complex_.differential(i)), seed=seed)
         ranks_of[i] = report.rank
         certified = certified and report.certified
-    dims = tuple(Fraction(complex_.ranks[i] - ranks_of[i] - ranks_of[i + 1])
-                 for i in range(complex_.top + 1))
-    return dims, certified
+    return [Record(f"ore-h{i}", 0, 1,
+                   complex_.ranks[i] - ranks_of[i] - ranks_of[i + 1], certified)
+            for i in range(complex_.top + 1)]
 
 
 # -- builders ---------------------------------------------------------------
@@ -252,23 +236,9 @@ def finite_group_betti(d: int, n: int, field: Field, i_max: int) -> List[int]:
             for m in range(i_max + 1)]
 
 
-@dataclass(frozen=True)
-class CharComparisonRow:
-    level: int
-    index: int
-    rational_dims: Tuple[int, ...]
-    modp_dims: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class CharComparisonReport:
-    p: int
-    rows: Tuple[CharComparisonRow, ...]
-
-
 def char_comparison(complex_: FreeChainComplex, p: int,
-                    levels: Sequence[int]) -> CharComparisonReport:
-    """Quotient homology over Q and over F_p for an integral complex.
+                    levels: Sequence[int]) -> Tuple[List[Record], List[Record]]:
+    """Quotient homology rows over Q and over F_p for an integral complex.
 
     Requires every coefficient to be an integer inside Q; the mod-p
     complex reinterprets those integers in F_p.  Universal coefficients
@@ -296,12 +266,9 @@ def char_comparison(complex_: FreeChainComplex, p: int,
                                [reduce_matrix(x) for x in complex_.differentials])
     over_q = quotient_homology(complex_, levels)
     over_p = quotient_homology(reduced, levels)
-    rows = []
-    for rq, rp in zip(over_q.rows, over_p.rows):
-        for i, (a, b) in enumerate(zip(rp.dims, rq.dims)):
-            if a < b:
-                raise ArithmeticError(
-                    f"mod-{p} homology smaller than rational homology "
-                    f"at level {rq.level}, degree {i}")
-        rows.append(CharComparisonRow(rq.level, rq.index, rq.dims, rp.dims))
-    return CharComparisonReport(p, tuple(rows))
+    for rq, rp in zip(over_q, over_p):
+        if rp.raw < rq.raw:
+            raise ArithmeticError(
+                f"mod-{p} homology smaller than rational homology "
+                f"at level {rq.level}, {rq.method}")
+    return over_q, over_p

@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Subcommands: ore, approx, folner, vdim, homology, betti-finite, selftest.
-Inputs are JSON files in the wire formats of ``jsonio``; outputs are CSV
-(header ``method,level,normalizer,raw,normalized,certified``) or a JSON
-mirror of the same records.  ``--levels`` is read by approx, folner and
-homology, ``--tol`` by approx; the others reject them.  Exit codes: 0
-success, 2 malformed input (diagnostic names the JSON path), 3 unsupported
-operation (message equals the library error text).
+Inputs are JSON files in the wire formats of ``jsonio``.  Each subcommand
+prints the ``dimensions.Record`` rows the library returns, unchanged, as
+CSV (header ``method,level,normalizer,raw,normalized,certified``) or as a
+JSON mirror of the same rows; approx adds its tolerance and agreement
+flags to the JSON.  ``--levels`` is read by approx, folner and homology,
+``--tol`` by approx; the others reject them.  Exit codes: 0 success, 2
+malformed input (diagnostic names the JSON path), 3 unsupported operation
+(message equals the library error text).
 """
 from __future__ import annotations
 
@@ -15,59 +17,31 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from . import chains, dimensions, jsonio
-from .dimensions import ReportConfig
+from .dimensions import Record
 from .errors import MismatchError, SchemaError, UnsupportedOperationError
-
-@dataclass(frozen=True)
-class Record:
-    method: str
-    level: int
-    normalizer: int
-    raw: int
-    normalized: Fraction
-    certified: bool
-
-    def csv_row(self):
-        return [self.method, str(self.level), str(self.normalizer), str(self.raw),
-                jsonio.fraction_to_json(self.normalized),
-                "true" if self.certified else "false"]
-
-    def to_json(self):
-        return {"method": self.method, "level": self.level,
-                "normalizer": self.normalizer, "raw": self.raw,
-                "normalized": jsonio.fraction_to_json(self.normalized),
-                "certified": self.certified}
-
 
 CSV_HEADER = ["method", "level", "normalizer", "raw", "normalized", "certified"]
 
 
-def _value_record(value: dimensions.DimensionValue) -> Record:
-    raw = value.value * value.normalizer
-    assert raw.denominator == 1
-    return Record(value.method.value, 0, value.normalizer, int(raw), value.value,
-                  value.certified)
-
-
-def _table_records(table: dimensions.ConvergenceTable) -> List[Record]:
-    return [Record(table.method.value, r.level, r.normalizer, r.raw, r.normalized,
-                   True) for r in table.rows]
+def _row(rec: Record) -> dict:
+    return {"method": rec.method, "level": rec.level, "normalizer": rec.normalizer,
+            "raw": rec.raw, "normalized": jsonio.fraction_to_json(rec.normalized),
+            "certified": rec.certified}
 
 
 def render(records: List[Record], fmt: str, extra: Optional[dict] = None) -> str:
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
+        writer = csv.DictWriter(buf, CSV_HEADER, lineterminator="\n")
+        writer.writeheader()
         for rec in records:
-            writer.writerow(rec.csv_row())
+            writer.writerow({**_row(rec), "certified": "true" if rec.certified else "false"})
         return buf.getvalue()
-    payload = {"records": [rec.to_json() for rec in records]}
+    payload = {"records": [_row(rec) for rec in records]}
     if extra:
         payload.update(extra)
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -145,65 +119,37 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_ore(args) -> List[Record]:
     module = jsonio.decode_module(_load_json(args.input))
-    value = dimensions.ore_dim(module, seed=args.seed)
-    return [_value_record(value)]
+    return [dimensions.ore_dim(module, seed=args.seed)]
 
 
 def _run_vdim(args) -> List[Record]:
     module = jsonio.decode_module(_load_json(args.input))
     subgroup = dimensions.default_subgroup(module.group)
-    value = dimensions.virtual_ore_dim(module, subgroup, seed=args.seed)
-    return [_value_record(value)]
+    return [dimensions.virtual_ore_dim(module, subgroup, seed=args.seed)]
 
 
 def _run_folner(args) -> List[Record]:
     module = jsonio.decode_module(_load_json(args.input))
-    table = dimensions.elek_truncation_dim(module, _parse_levels(args.levels))
-    return _table_records(table)
+    return dimensions.elek_truncation_dim(module, _parse_levels(args.levels))
 
 
-def _run_approx(args):
+def _run_approx(args) -> Tuple[List[Record], dict]:
     module = jsonio.decode_module(_load_json(args.input))
     levels = _parse_levels(args.levels)
-    config = ReportConfig(
-        quotient_levels=levels, folner_levels=levels,
-        tol=_parse_tol(args.tol), seed=args.seed)
-    report = dimensions.approx_report(module, config)
-    records = []
-    if report.target is not None:
-        records.append(_value_record(report.target))
-    for table in report.tables:
-        records.extend(_table_records(table))
-    extra = {"tol": jsonio.fraction_to_json(report.tol),
-             "agreement": report.agreement}
-    return records, extra
+    tol = _parse_tol(args.tol)
+    records, agreement = dimensions.approx_report(module, levels, tol, args.seed)
+    return records, {"tol": jsonio.fraction_to_json(tol), "agreement": agreement}
 
 
 def _run_homology(args) -> List[Record]:
     complex_ = jsonio.decode_complex(_load_json(args.input))
-    report = chains.homology_report(complex_, _parse_levels(args.levels),
-                                    seed=args.seed)
-    records = []
-    if report.ore is not None:
-        for i, v in enumerate(report.ore):
-            records.append(Record(f"ore-h{i}", 0, 1, int(v), v, report.certified))
-    for row in report.rows:
-        for i, (raw, norm) in enumerate(zip(row.dims, row.normalized)):
-            records.append(Record(f"quotient-h{i}", row.level, row.index, raw,
-                                  norm, True))
-    return records
+    return chains.homology_report(complex_, _parse_levels(args.levels), seed=args.seed)
 
 
 def _run_betti_finite(args) -> List[Record]:
     d, ns, i_max, field = jsonio.decode_betti_request(_load_json(args.input))
-    records = []
-    for n in ns:
-        betti = chains.finite_group_betti(d, n, field, i_max)
-        normalizer = n ** d
-        for i, b in enumerate(betti):
-            records.append(Record(f"finite-betti-b{i}", n, normalizer, b,
-                                  Fraction(b, normalizer), True))
-    return records
+    return [Record(f"finite-betti-b{i}", n, n ** d, b)
+            for n in ns for i, b in enumerate(chains.finite_group_betti(d, n, field, i_max))]
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -213,21 +159,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "selftest":
             from .selftest import run_all
             return 0 if run_all() else 1
-        extra = None
-        if args.command == "ore":
-            records = _run_ore(args)
-        elif args.command == "vdim":
-            records = _run_vdim(args)
-        elif args.command == "folner":
-            records = _run_folner(args)
-        elif args.command == "approx":
+        if args.command == "approx":
             records, extra = _run_approx(args)
-        elif args.command == "homology":
-            records = _run_homology(args)
-        elif args.command == "betti-finite":
-            records = _run_betti_finite(args)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise AssertionError(args.command)
+        else:
+            run = {"ore": _run_ore, "vdim": _run_vdim, "folner": _run_folner,
+                   "homology": _run_homology, "betti-finite": _run_betti_finite}
+            records, extra = run[args.command](args), None
         _emit(render(records, args.format, extra), args.out)
         return 0
     except SchemaError as exc:

@@ -1,29 +1,34 @@
 """Dimension functions for finitely presented modules over k[G].
 
-For a module presented by an r x s matrix A:
+Every function returns ``Record`` rows, the rows the CLI prints.  A row
+holds an exact dimension ``raw`` and the ``normalizer`` it is divided by;
+``normalized`` is their quotient.  For a module presented by an r x s
+matrix A:
 
-* ``ore_dim``            -- s minus the rank of A over the rational
-  function field k(t_1..t_d); only Z^d group rings localize to a
+* ``ore_dim``            -- one ``ore`` row: s minus the rank of A over the
+  rational function field k(t_1..t_d); only Z^d group rings localize to a
   commutative fraction field we can compute in directly.
-* ``elek_truncation_dim`` -- per Foelner set F, the k-dimension of the
-  truncated cokernel, s*|F| - rank of the compressed matrix, normalized
-  by |F|.
-* ``quotient_betti_dim`` -- per residual-chain level, s*N minus the rank
-  of the induced matrix on the quotient, normalized by the index N.
-* ``virtual_ore_dim``    -- Ore dimension of the restriction to a
-  whitelisted finite-index Z^d subgroup, divided by the index.
+* ``elek_truncation_dim`` -- one ``elek-truncation`` row per Foelner set F:
+  s*|F| - rank of the compressed matrix, normalized by |F|.
+* ``quotient_betti_dim`` -- one ``quotient-betti`` row per residual-chain
+  level: s*N minus the rank of the induced matrix on the quotient,
+  normalized by the index N.
+* ``virtual_ore_dim``    -- one ``virtual-ore`` row: the Ore dimension of the
+  restriction to a whitelisted finite-index Z^d subgroup, normalized by
+  the index.
 
-Both take their rank from ``linalg.rank_laurent``; ``seed`` picks its
-evaluation points, and ``certified`` says whether the rank is proved.
+Exact targets sit at level 0.  They take their rank from
+``linalg.rank_laurent``; ``seed`` picks its evaluation points, and
+``certified`` says whether the rank is proved.  Table rows are always
+certified.
 
-Tables never extrapolate: the exact target is reported when available and
-an agreement flag compares the last table row against it at a user
-tolerance, but no limit is ever declared.
+Tables never extrapolate: ``approx_report`` puts the exact target above
+the tables when the group has one and flags whether each table's last row
+lies within a user tolerance of it, but no limit is ever declared.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -35,51 +40,20 @@ from .groups import Group, Zd
 from .linalg import rank_laurent, rank_plain
 
 
-class Method(str, Enum):
-    ORE = "ore"
-    ELEK = "elek-truncation"
-    QUOTIENT = "quotient-betti"
-    VIRTUAL_ORE = "virtual-ore"
-
-
 @dataclass(frozen=True)
-class DimensionValue:
-    value: Fraction
-    method: Method
-    certified: bool
-    # value * normalizer is the raw dimension: the subgroup index for
-    # virtual Ore dimensions, 1 otherwise.
-    normalizer: int = 1
+class Record:
+    """One output row: the dimension ``raw`` of ``method`` at ``level``
+    (0 for an exact target), divided by ``normalizer``."""
 
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError(f"dimension must be nonnegative, got {self.value}")
-
-
-@dataclass(frozen=True)
-class TableRow:
+    method: str
     level: int
     normalizer: int
     raw: int
-    normalized: Fraction
+    certified: bool = True
 
-    def __post_init__(self):
-        if self.normalized != Fraction(self.raw, self.normalizer):
-            raise ValueError("normalized value must equal raw/normalizer exactly")
-
-
-@dataclass(frozen=True)
-class ConvergenceTable:
-    method: Method
-    rows: Tuple[TableRow, ...]
-
-    def __post_init__(self):
-        levels = [r.level for r in self.rows]
-        if levels != sorted(set(levels)):
-            raise ValueError("levels must be strictly increasing")
-
-    def last_normalized(self) -> Optional[Fraction]:
-        return self.rows[-1].normalized if self.rows else None
+    @property
+    def normalized(self) -> Fraction:
+        return Fraction(self.raw, self.normalizer)
 
 
 # Default levels of each group model, keyed by ``Group.kind``.  A
@@ -103,58 +77,48 @@ def resolve_levels(levels: Optional[Sequence[int]], defaults, group: Group) -> L
     return levels
 
 
-def ore_dim(module: PresentedModule, seed: int = 0) -> DimensionValue:
+def ore_dim(module: PresentedModule, seed: int = 0) -> Record:
     """Ore dimension of the module: generators minus rank over k(t_1..t_d)."""
     if not isinstance(module.group, Zd):
         raise UnsupportedOperationError(
             "Ore dimension directly computable only for Zd; use approximation")
     report = rank_laurent(to_laurent(module.matrix), seed=seed)
-    value = Fraction(module.generators - report.rank)
-    return DimensionValue(value, Method.ORE, report.certified)
+    return Record("ore", 0, 1, module.generators - report.rank, report.certified)
 
 
 def elek_truncation_dim(module: PresentedModule,
-                        levels: Optional[Sequence[int]] = None) -> ConvergenceTable:
+                        levels: Optional[Sequence[int]] = None) -> List[Record]:
     """Dimensions of Foelner-truncated cokernels, normalized by |F_n|;
     ``levels`` defaults to the group's ``DEFAULT_FOLNER_LEVELS``."""
-    levels = resolve_levels(levels, DEFAULT_FOLNER_LEVELS, module.group)
-    matrix = module.matrix
-    s = module.generators
-
-    def row(n: int) -> TableRow:
+    rows = []
+    for n in resolve_levels(levels, DEFAULT_FOLNER_LEVELS, module.group):
         folner = module.group.folner_set(n)
-        compressed = compress_to_folner(matrix, folner)
-        raw = s * len(folner) - rank_plain(compressed)
-        return TableRow(n, len(folner), raw, Fraction(raw, len(folner)))
-
-    return ConvergenceTable(Method.ELEK, tuple(row(n) for n in levels))
+        compressed = compress_to_folner(module.matrix, folner)
+        raw = module.generators * len(folner) - rank_plain(compressed)
+        rows.append(Record("elek-truncation", n, len(folner), raw))
+    return rows
 
 
 def quotient_betti_dim(module: PresentedModule,
-                       levels: Optional[Sequence[int]] = None) -> ConvergenceTable:
+                       levels: Optional[Sequence[int]] = None) -> List[Record]:
     """Normalized Betti numbers of the module along the residual chain;
     ``levels`` defaults to the group's ``DEFAULT_QUOTIENT_LEVELS``."""
-    levels = resolve_levels(levels, DEFAULT_QUOTIENT_LEVELS, module.group)
-    matrix = module.matrix
-    s = module.generators
-
-    def row(n: int) -> TableRow:
+    rows = []
+    for n in resolve_levels(levels, DEFAULT_QUOTIENT_LEVELS, module.group):
         quotient = module.group.quotient(n)
-        induced = induce_to_quotient(matrix, quotient)
-        raw = s * quotient.index - rank_plain(induced)
-        return TableRow(n, quotient.index, raw, Fraction(raw, quotient.index))
+        induced = induce_to_quotient(module.matrix, quotient)
+        raw = module.generators * quotient.index - rank_plain(induced)
+        rows.append(Record("quotient-betti", n, quotient.index, raw))
+    return rows
 
-    return ConvergenceTable(Method.QUOTIENT, tuple(row(n) for n in levels))
 
-
-def virtual_ore_dim(module: PresentedModule, subgroup, seed: int = 0) -> DimensionValue:
+def virtual_ore_dim(module: PresentedModule, subgroup, seed: int = 0) -> Record:
     """Ore dimension of the restriction to a finite-index Z^d subgroup,
     normalized by the index."""
     restricted, index = restrict_scalars(module.matrix, subgroup)
     report = rank_laurent(to_laurent(restricted), seed=seed)
-    raw = restricted.ncols - report.rank
-    return DimensionValue(Fraction(raw, index), Method.VIRTUAL_ORE, report.certified,
-                          index)
+    return Record("virtual-ore", 0, index, restricted.ncols - report.rank,
+                  report.certified)
 
 
 def default_subgroup(group: Group):
@@ -165,61 +129,28 @@ def default_subgroup(group: Group):
     return TranslationSubgroup()
 
 
-@dataclass(frozen=True)
-class ReportConfig:
-    # None stands for the module's group default.
-    quotient_levels: Optional[Tuple[int, ...]] = None
-    folner_levels: Optional[Tuple[int, ...]] = None
-    tol: Fraction = Fraction(1, 20)
-    seed: int = 0
+def approx_report(module: PresentedModule, levels: Optional[Sequence[int]] = None,
+                  tol: Fraction = Fraction(1, 20),
+                  seed: int = 0) -> Tuple[List[Record], Dict[str, bool]]:
+    """Every applicable dimension function, and whether each table agrees
+    with the exact target.
 
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
-
-
-@dataclass(frozen=True)
-class ApproxReport:
-    """Juxtaposition of every dimension function computable for a module."""
-
-    target: Optional[DimensionValue]
-    tables: Tuple[ConvergenceTable, ...]
-    agreement: Dict[str, bool]
-    tol: Fraction
-
-    def table(self, method: Method) -> Optional[ConvergenceTable]:
-        for t in self.tables:
-            if t.method == method:
-                return t
-        return None
-
-
-def approx_report(module: PresentedModule, config: ReportConfig = ReportConfig()) -> ApproxReport:
-    """Run every applicable dimension function and flag agreement.
-
-    The exact target is the Ore dimension for Z^d modules and the virtual
-    Ore dimension for dihedral modules; Heisenberg modules get tables
-    only.  Agreement compares each table's last row against the target at
-    the configured tolerance; nothing is extrapolated.
+    The rows are the target, if any, then the quotient and the Foelner
+    tables.  The target is the Ore dimension for Z^d modules and the
+    virtual Ore dimension for dihedral modules; Heisenberg modules get
+    tables only.  ``levels`` applies to both tables; None gives each its
+    group default.  Agreement compares each table's last row against the
+    target at tolerance ``tol``; nothing is extrapolated.
     """
-    group = module.group
-    target: Optional[DimensionValue] = None
-    if isinstance(group, Zd):
-        target = ore_dim(module, seed=config.seed)
-    else:
-        try:
-            target = virtual_ore_dim(module, default_subgroup(group), seed=config.seed)
-        except UnsupportedOperationError:
-            target = None
-
-    tables = (
-        quotient_betti_dim(module, config.quotient_levels),
-        elek_truncation_dim(module, config.folner_levels),
-    )
-    agreement: Dict[str, bool] = {}
-    if target is not None:
-        for t in tables:
-            last = t.last_normalized()
-            agreement[t.method.value] = (last is not None
-                                         and abs(last - target.value) <= config.tol)
-    return ApproxReport(target, tables, agreement, config.tol)
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    kind = module.group.kind
+    targets = []
+    if kind == "Zd":
+        targets.append(ore_dim(module, seed=seed))
+    elif kind == "Dinf":
+        targets.append(virtual_ore_dim(module, default_subgroup(module.group), seed=seed))
+    tables = (quotient_betti_dim(module, levels), elek_truncation_dim(module, levels))
+    agreement = {table[-1].method: abs(table[-1].normalized - target.normalized) <= tol
+                 for target in targets for table in tables}
+    return targets + tables[0] + tables[1], agreement

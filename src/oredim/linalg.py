@@ -77,11 +77,11 @@ PROBABILISTIC_TRIALS = 3
 IRREDUCIBLE_SEARCH_LIMIT = 256
 
 # A trial over Q raises integers up to 64*D to each exponent of the
-# row-cleared terms (up to twice maxdeg per variable): its largest power has
-# about top * bit_length(64*D) bits, top the largest total degree of a
-# cleared term.  On [x^n + y] (top = n) the trials
-# took 0.15 s at 1.03e6 bits (n = 47,000), 0.53 s at 2.3e6 and 3.4 s at
-# 7.5e6, one thread; bench Q matrices stay under 100 bits.
+# row-cleared terms: its largest power has about top * bit_length(64*D)
+# bits, top the largest row degree (total degree of a cleared term).  On
+# [x^n + y] (top = n) the trials took 0.15 s at 1.03e6 bits (n = 47,000),
+# 0.53 s at 2.3e6 and 3.4 s at 7.5e6, one thread; bench Q matrices stay
+# under 100 bits.
 Q_POWER_BITS_LIMIT = 1 << 20
 
 
@@ -430,11 +430,6 @@ def poly_divexact(num: Poly, den: Poly, field: Field) -> Poly:
     return quot
 
 
-def poly_total_degree(a: Poly) -> int:
-    """Max over terms of the sum of absolute exponents (0 for zero)."""
-    return max((sum(abs(x) for x in e) for e in a), default=0)
-
-
 class LaurentMatrix:
     """A matrix over the Laurent polynomial ring k[t_1^+-1, .., t_d^+-1]."""
 
@@ -467,9 +462,6 @@ class LaurentMatrix:
     def transpose(self) -> "LaurentMatrix":
         return LaurentMatrix(self.field, self.nvars, self.ncols, self.nrows,
                              {(j, i): p for (i, j), p in self.entries.items()})
-
-    def max_entry_degree(self) -> int:
-        return max((poly_total_degree(p) for p in self.entries.values()), default=0)
 
     def __repr__(self):
         return (f"LaurentMatrix({self.field!r}, vars={self.nvars}, "
@@ -670,16 +662,15 @@ def _random_nonzero(rng: random.Random, p: int, e: int):
             return digits
 
 
-def _cleared_terms(m: LaurentMatrix):
-    """The terms of ``m`` with each row scaled by the monomial clearing its
-    negative exponents, laid out for evaluation with numpy.
+def _cleared_terms(m: LaurentMatrix, shifts):
+    """The terms of ``m`` with each row scaled by its monomial in ``shifts``
+    (from ``_clearing_shifts``), laid out for evaluation with numpy.
 
     Returns the flat cell index of each nonzero entry and the offset of
     its first term; each term's coefficient (a column) and the index of its
     monomial; and per variable, the distinct exponents it takes with the
     position of each monomial's exponent among them.
     """
-    shifts = _clearing_shifts(m)
     monos: Dict[Tuple[int, ...], int] = {}
     cells, starts, coeffs, term_monos = [], [], [], []
     for (i, j), poly in m.entries.items():
@@ -711,27 +702,29 @@ class RankReport:
     certified: bool
     failure_bound: Fraction
 
-    def to_json(self) -> dict:
-        return {"rank": self.rank, "certified": self.certified,
-                "failure_bound": f"{self.failure_bound.numerator}/{self.failure_bound.denominator}"}
-
 
 def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0) -> RankReport:
     """Schwartz-Zippel rank: evaluate at random points, take the max of
     three trials.  Evaluation can only lower the rank, so a trial that
     reaches min(r, s) certifies it.
 
-    The nonzero minors have total degree at most D = min(r,s) * maxdeg, so
-    a uniformly random point from a sample space of size >= 64*D witnesses
-    full generic rank except with probability <= D/|space| per trial.
-
     Each row is first scaled by the monomial clearing its negative
     exponents, which does not change the rank at any point, so evaluation
-    needs no inverses.  Over F_p the points lie in F_{p^e}, e the least
-    degree with p^e - 1 >= 64*D (e = 1 when p is large enough).  A trial
-    evaluates every monomial once, as a coefficient vector over F_p, sums
-    the terms of each entry, and hands the r x (s*e) array of entries to
-    the dense kernel, which ranks it over F_{p^e}.
+    needs no inverses.  A row's degree is the largest total degree of its
+    cleared terms, and a minor of the cleared matrix has total degree at
+    most the sum of its rows' degrees.  So the nonzero minors have degree
+    at most D, the sum of the min(r, s) largest row degrees, and a
+    uniformly random point from a sample space of size >= 64*D witnesses
+    full generic rank except with probability <= D/|space| per trial.
+    D = 0 means every row is a constant row times a monomial with no
+    positive exponent; the cleared matrix is then constant and is ranked
+    exactly.
+
+    Over F_p the points lie in F_{p^e}, e the least degree with
+    p^e - 1 >= 64*D (e = 1 when p is large enough).  A trial evaluates
+    every monomial once, as a coefficient vector over F_p, sums the terms
+    of each entry, and hands the r x (s*e) array of entries to the dense
+    kernel, which ranks it over F_{p^e}.
 
     Over Q the points are integers and the powers of the cleared exponents
     exact, so a matrix whose largest such power would pass
@@ -740,9 +733,13 @@ def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0) -> RankReport:
     r, s = m.nrows, m.ncols
     if r == 0 or s == 0 or not m.entries:
         return RankReport(0, True, Fraction(0))
-    degree_bound = min(r, s) * m.max_entry_degree()
+    shifts = _clearing_shifts(m)
+    row_degrees = [0] * r
+    for (i, _), poly in m.entries.items():
+        row_degrees[i] = max(row_degrees[i], sum(shifts[i]) + max(map(sum, poly)))
+    degree_bound = sum(sorted(row_degrees, reverse=True)[:min(r, s)])
     if degree_bound == 0:
-        # constant matrix: evaluation is the matrix itself
+        # every cleared row is constant: rank the one-term entries exactly
         const = PlainMatrix(m.field, r, s,
                             {k: next(iter(p.values())) for k, p in m.entries.items()})
         return RankReport(rank_plain(const), True, Fraction(0))
@@ -757,7 +754,7 @@ def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0) -> RankReport:
                 f"extension degree {e} beyond the supported table (p={p})")
         sample_size = p ** e - 1
         cpow = _companion_powers(p, e)
-        cells, starts, coeffs, term_monos, per_var = _cleared_terms(m)
+        cells, starts, coeffs, term_monos, per_var = _cleared_terms(m, shifts)
 
         def trial(rng):
             point = [_random_nonzero(rng, p, e) for _ in range(m.nvars)]
@@ -772,12 +769,10 @@ def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0) -> RankReport:
             values[cells] = np.add.reduceat(coeffs * vals[term_monos] % p, starts) % p
             return _rank_dense_modp(values.reshape(r, s * e), p, cpow)
     else:
-        shifts = _clearing_shifts(m)
         cleared = {(i, j): [(tuple(map(operator.add, exp, shifts[i])), v)
                             for exp, v in poly.items()]
                    for (i, j), poly in m.entries.items()}
-        top = max(sum(exp) for terms in cleared.values() for exp, _ in terms)
-        bits = top * target.bit_length()
+        bits = max(row_degrees) * target.bit_length()
         if bits > Q_POWER_BITS_LIMIT:
             raise UnsupportedOperationError(
                 f"evaluating this matrix over Q needs powers of about {bits} bits, "

@@ -266,6 +266,23 @@ def oracle_laurent_rank(m):
     return 0
 
 
+def cleared_minor_degree(m):
+    """The Schwartz-Zippel degree of a Laurent matrix: the most that
+    min(r, s) distinct rows add up to, where a row counts the largest
+    total degree of its terms after the row is multiplied by the monomial
+    that clears its negative exponents."""
+    def row_degree(i):
+        exps = [e for (a, _), poly in m.entries.items() if a == i for e in poly]
+        if not exps:
+            return 0
+        low = [min(0, *column) for column in zip(*exps)]
+        return max(sum(x - lo for x, lo in zip(e, low)) for e in exps)
+
+    degrees = [row_degree(i) for i in range(m.nrows)]
+    return max(sum(pick) for pick in
+               itertools.combinations(degrees, min(m.nrows, m.ncols)))
+
+
 # -- samplers ---------------------------------------------------------------
 
 def random_element(rng, group, span=5):

@@ -27,6 +27,20 @@ def matrix(field, group, rows, cols, entries):
     return GroupRingMatrix(field, group, rows, cols, entries)
 
 
+def raws(records):
+    return tuple(r.raw for r in records)
+
+
+def by_level(records):
+    """Quotient homology rows as {level: (normalizer, dims by degree)}."""
+    table = {}
+    for r in records:
+        normalizer, dims = table.setdefault(r.level, (r.normalizer, []))
+        assert r.method == f"quotient-h{len(dims)}" and r.normalizer == normalizer
+        dims.append(r.raw)
+    return {level: (normalizer, tuple(dims)) for level, (normalizer, dims) in table.items()}
+
+
 # -- construction ---------------------------------------------------------------
 
 def test_rejects_nonzero_composite_with_degree():
@@ -67,25 +81,25 @@ def test_attachment_shape_and_differentials():
 def test_attachment_higher_dimension():
     c = build_degree_p_attachment(3, 2, F2)
     assert c.ranks == (1, 1, 0, 1, 1)
-    dims, _ = ore_homology(c)
-    assert dims == (0, 0, 0, 1, 1)
+    rows = ore_homology(c)
+    assert [(r.method, r.level, r.normalizer) for r in rows] == \
+        [(f"ore-h{i}", 0, 1) for i in range(5)]
+    assert raws(rows) == (0, 0, 0, 1, 1)
 
 
 def test_attachment_ore_characteristic_split():
-    dims2, cert = ore_homology(build_degree_p_attachment(2, 2, F2))
-    assert dims2 == (0, 0, 1, 1) and cert
-    dims5, _ = ore_homology(build_degree_p_attachment(2, 2, F5))
-    assert dims5 == (0, 0, 0, 0)
+    rows2 = ore_homology(build_degree_p_attachment(2, 2, F2))
+    assert raws(rows2) == (0, 0, 1, 1) and all(r.certified for r in rows2)
+    assert raws(ore_homology(build_degree_p_attachment(2, 2, F5))) == (0, 0, 0, 0)
 
 
 def test_attachment_quotient_dims_constant_normalized():
-    report = quotient_homology(build_degree_p_attachment(2, 2, F2), [2, 4, 8])
-    for row in report.rows:
-        assert row.dims == (1, 1, row.level, row.level)
-        assert row.normalized[2] == row.normalized[3] == 1
-    report5 = quotient_homology(build_degree_p_attachment(2, 2, F5), [2, 4, 8])
-    for row in report5.rows:
-        assert row.dims[2] == row.dims[3] == 0
+    rows = quotient_homology(build_degree_p_attachment(2, 2, F2), [2, 4, 8])
+    assert by_level(rows) == {n: (n, (1, 1, n, n)) for n in (2, 4, 8)}
+    assert all(r.normalized == 1 for r in rows if r.method in ("quotient-h2", "quotient-h3"))
+    rows5 = quotient_homology(build_degree_p_attachment(2, 2, F5), [2, 4, 8])
+    for _, dims in by_level(rows5).values():
+        assert dims[2] == dims[3] == 0
 
 
 # -- koszul -----------------------------------------------------------------------
@@ -111,15 +125,14 @@ def test_koszul_two_dim_differentials():
 @pytest.mark.parametrize("d", (1, 2, 3, 4))
 @pytest.mark.parametrize("field", (F2, F3, Q))
 def test_koszul_is_resolution(d, field):
-    dims, _ = ore_homology(build_koszul(d, field))
-    assert all(v == 0 for v in dims)
+    rows = ore_homology(build_koszul(d, field))
+    assert len(rows) == d + 1 and all(r.raw == 0 for r in rows)
 
 
 def test_koszul_quotient_is_torus_homology():
     for field in (F2, Q):
-        report = quotient_homology(build_koszul(2, field), [2, 3, 4, 6])
-        for row in report.rows:
-            assert row.dims == (1, 2, 1)
+        rows = quotient_homology(build_koszul(2, field), [2, 3, 4, 6])
+        assert by_level(rows) == {n: (n * n, (1, 2, 1)) for n in (2, 3, 4, 6)}
 
 
 def test_koszul_quotient_against_oracle():
@@ -128,7 +141,8 @@ def test_koszul_quotient_against_oracle():
     r1 = oracle_rank(induce_to_quotient(c.differential(1), q).to_dense(), F2)
     r2 = oracle_rank(induce_to_quotient(c.differential(2), q).to_dense(), F2)
     dims = (9 * 1 - r1, 9 * 2 - r1 - r2, 9 * 1 - r2)
-    assert quotient_homology(c, [3]).rows[0].dims == dims == (1, 2, 1)
+    assert by_level(quotient_homology(c, [3])) == {3: (9, dims)}
+    assert dims == (1, 2, 1)
 
 
 # -- euler characteristic -----------------------------------------------------------
@@ -144,9 +158,8 @@ def test_euler_characteristic_identity():
         c2 = matrix(F2, Z1, 1, 2, {(0, 0): wv, (0, 1): -uw})
         complex_ = FreeChainComplex(F2, Z1, [1, 2, 1], [c1, c2])
         euler = sum((-1) ** i * r for i, r in enumerate(complex_.ranks))
-        for row in quotient_homology(complex_, [3, 5]).rows:
-            assert sum((-1) ** i * d for i, d in enumerate(row.dims)) == \
-                row.index * euler
+        for index, dims in by_level(quotient_homology(complex_, [3, 5])).values():
+            assert sum((-1) ** i * d for i, d in enumerate(dims)) == index * euler
 
 
 def test_two_term_quotient_close_to_ore():
@@ -162,10 +175,11 @@ def test_two_term_quotient_close_to_ore():
         c1 = matrix(F2, Z1, 2, 1, {(0, 0): a, (1, 0): b})
         c2 = matrix(F2, Z1, 1, 2, {(0, 0): b, (0, 1): -a})
         complex_ = FreeChainComplex(F2, Z1, [1, 2, 1], [c1, c2])
-        dims, _ = ore_homology(complex_)
-        row = quotient_homology(complex_, [64]).rows[0]
-        for got, want in zip(row.normalized, dims):
-            assert abs(got - want) <= Fraction(1, 20)
+        ore = ore_homology(complex_)
+        quotient = quotient_homology(complex_, [64])
+        assert len(quotient) == len(ore) == 3
+        for got, want in zip(quotient, ore):
+            assert abs(got.normalized - want.normalized) <= Fraction(1, 20)
 
 
 # -- finite group betti numbers -------------------------------------------------------
@@ -204,16 +218,15 @@ def test_finite_betti_validation():
 # -- characteristic comparison ---------------------------------------------------------
 
 def test_char_comparison_attachment():
-    report = char_comparison(build_degree_p_attachment(2, 2, Q), 2, [2, 4])
-    for row in report.rows:
-        assert row.rational_dims == (1, 1, 0, 0)
-        assert row.modp_dims == (1, 1, row.level, row.level)
+    over_q, over_p = char_comparison(build_degree_p_attachment(2, 2, Q), 2, [2, 4])
+    assert by_level(over_q) == {n: (n, (1, 1, 0, 0)) for n in (2, 4)}
+    assert by_level(over_p) == {n: (n, (1, 1, n, n)) for n in (2, 4)}
 
 
 def test_char_comparison_koszul_equality():
-    report = char_comparison(build_koszul(2, Q), 2, [2, 4, 8])
-    for row in report.rows:
-        assert row.rational_dims == row.modp_dims == (1, 2, 1)
+    over_q, over_p = char_comparison(build_koszul(2, Q), 2, [2, 4, 8])
+    want = {n: (n * n, (1, 2, 1)) for n in (2, 4, 8)}
+    assert by_level(over_q) == by_level(over_p) == want
 
 
 def test_char_comparison_requires_rational_integers():
@@ -227,18 +240,22 @@ def test_char_comparison_requires_rational_integers():
 
 def test_zero_complex_comparison():
     zero = FreeChainComplex(Q, Z1, [1, 1], [matrix(Q, Z1, 1, 1, {})])
-    report = char_comparison(zero, 5, [2])
-    assert report.rows[0].rational_dims == report.rows[0].modp_dims
+    over_q, over_p = char_comparison(zero, 5, [2])
+    assert by_level(over_q) == by_level(over_p) == {2: (2, (2, 2))}
 
 
 # -- combined report --------------------------------------------------------------------
 
 def test_homology_report_fills_ore_row():
-    report = homology_report(build_degree_p_attachment(2, 2, F2), [2, 4])
-    assert report.ore == (0, 0, 1, 1)
-    assert report.certified
+    complex_ = build_degree_p_attachment(2, 2, F2)
+    rows = homology_report(complex_, [2, 4])
+    ore, quotient = rows[:4], rows[4:]
+    assert [r.method for r in ore] == [f"ore-h{i}" for i in range(4)]
+    assert raws(ore) == (0, 0, 1, 1)
+    assert all(r.certified for r in ore)
+    assert quotient == quotient_homology(complex_, [2, 4])
     dihedral_free = FreeChainComplex(F2, DihedralInfinite(), [1], [])
-    assert homology_report(dihedral_free, [2]).ore is None
+    assert [r.method for r in homology_report(dihedral_free, [2])] == ["quotient-h0"]
 
 
 def test_quotient_homology_level_validation():

@@ -130,6 +130,13 @@ def test_invalid_levels_exit_2(z_module_path, capsys):
     assert code == 2 and "--levels" in err
 
 
+def test_invalid_levels_reported_before_tol(z_module_path, capsys):
+    code, out, err = run(capsys, ["approx", "--input", z_module_path,
+                                  "--levels", "4,2", "--tol", "0"])
+    assert code == 2 and out == ""
+    assert "--levels" in err and "--tol" not in err
+
+
 def test_invalid_tol_exit_2(z_module_path, capsys):
     code, _, err = run(capsys, ["approx", "--input", z_module_path,
                                 "--tol", "0"])
@@ -189,6 +196,30 @@ def test_homology_command(tmp_path, capsys):
     assert "quotient-h2,4,4,4,1/1,true" in lines
 
 
+def test_homology_command_full_csv(tmp_path, capsys):
+    # the ore-h rows first, then the quotient-h rows level by level
+    complex_path = write_json(
+        tmp_path / "cx.json",
+        encode_complex(build_degree_p_attachment(2, 2, F2)))
+    code, out, _ = run(capsys, ["homology", "--input", complex_path,
+                                "--levels", "2,4"])
+    assert code == 0
+    assert out == (
+        "method,level,normalizer,raw,normalized,certified\n"
+        "ore-h0,0,1,0,0/1,true\n"
+        "ore-h1,0,1,0,0/1,true\n"
+        "ore-h2,0,1,1,1/1,true\n"
+        "ore-h3,0,1,1,1/1,true\n"
+        "quotient-h0,2,2,1,1/2,true\n"
+        "quotient-h1,2,2,1,1/2,true\n"
+        "quotient-h2,2,2,2,1/1,true\n"
+        "quotient-h3,2,2,2,1/1,true\n"
+        "quotient-h0,4,4,1,1/4,true\n"
+        "quotient-h1,4,4,1,1/4,true\n"
+        "quotient-h2,4,4,4,1/1,true\n"
+        "quotient-h3,4,4,4,1/1,true\n")
+
+
 def test_betti_finite_command(tmp_path, capsys):
     request = write_json(tmp_path / "betti.json", {
         "d": 2, "n": [2, 4], "i_max": 2, "field": {"type": "Fp", "p": 2}})
@@ -207,6 +238,26 @@ def test_json_report_reparses(z_module_path, capsys):
     assert any(r["method"] == "ore" for r in payload["records"])
     assert payload["tol"] == "1/20"
     assert set(payload["agreement"]) == {"quotient-betti", "elek-truncation"}
+
+
+def test_approx_json_full_text(z_module_path, capsys):
+    def record(method, level, normalizer, raw, normalized):
+        return (f'    {{\n      "certified": true,\n      "level": {level},\n'
+                f'      "method": "{method}",\n      "normalized": "{normalized}",\n'
+                f'      "normalizer": {normalizer},\n      "raw": {raw}\n    }}')
+
+    code, out, _ = run(capsys, ["approx", "--input", z_module_path,
+                                "--levels", "2,4", "--format", "json"])
+    assert code == 0
+    records = [record("ore", 0, 1, 0, "0/1"),
+               record("quotient-betti", 2, 2, 1, "1/2"),
+               record("quotient-betti", 4, 4, 1, "1/4"),
+               record("elek-truncation", 2, 2, 0, "0/1"),
+               record("elek-truncation", 4, 4, 0, "0/1")]
+    assert out == (
+        '{\n  "agreement": {\n    "elek-truncation": true,\n'
+        '    "quotient-betti": false\n  },\n  "records": [\n'
+        + ",\n".join(records) + '\n  ],\n  "tol": "1/20"\n}\n')
 
 
 # the options each subcommand reads; --rank-alg is gone from all of them

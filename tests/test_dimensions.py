@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import oracle_rank, random_zd_matrix, unit_diagonal
-from oredim.dimensions import (Method, ReportConfig, approx_report,
-                               elek_truncation_dim, ore_dim,
+from oredim.dimensions import (approx_report, elek_truncation_dim, ore_dim,
                                quotient_betti_dim, virtual_ore_dim)
 from oredim.errors import UnsupportedOperationError
 from oredim.fields import PrimeField, Rationals
@@ -48,21 +47,21 @@ def plane_module(field):
 
 def test_ore_of_free_module():
     # multiplication by the characteristic is the zero matrix
-    assert ore_dim(one_by_one(F3, Z1, {(0,): 3})).value == 1
-    assert ore_dim(free_rank_one(F3, Z1)).value == 1
+    assert ore_dim(one_by_one(F3, Z1, {(0,): 3})).normalized == 1
+    assert ore_dim(free_rank_one(F3, Z1)).normalized == 1
 
 
 def test_ore_of_identity_presentation():
     m = module(F2, Z1, 2, 2, {(i, i): GroupRingElement(F2, Z1, {(0,): 1})
                               for i in range(2)})
-    assert ore_dim(m).value == 0
+    assert ore_dim(m).normalized == 0
 
 
 def test_ore_plane_module():
     # [z1-1, z2-1] has full rank 1, which one evaluation proves
     v = ore_dim(plane_module(F2))
-    assert v.value == 1 and v.certified
-    assert v.normalizer == 1
+    assert (v.method, v.level, v.normalizer, v.raw) == ("ore", 0, 1, 1)
+    assert v.normalized == 1 and v.certified
 
 
 def test_ore_rejects_other_groups():
@@ -77,13 +76,14 @@ def test_ore_rejects_other_groups():
 def test_elek_table_interval_module():
     m = one_by_one(F2, Z1, {(1,): 1, (0,): 1})
     table = elek_truncation_dim(m, [4, 8])
-    assert [r.normalized for r in table.rows] == [0, 0]
-    assert table.method is Method.ELEK
+    assert [r.normalized for r in table] == [0, 0]
+    assert [(r.method, r.level) for r in table] == \
+        [("elek-truncation", 4), ("elek-truncation", 8)]
 
 
 def test_elek_table_free_module():
     table = elek_truncation_dim(free_rank_one(F5, Z1), [2, 4, 8])
-    assert all(r.normalized == 1 for r in table.rows)
+    assert all(r.normalized == 1 for r in table)
 
 
 def test_elek_plane_module_against_oracle():
@@ -92,7 +92,7 @@ def test_elek_plane_module_against_oracle():
     for n in (2, 4):
         comp = compress_to_folner(m.matrix, Z2.folner_set(n))
         oracle = oracle_rank(comp.to_dense(), F3)
-        row = elek_truncation_dim(m, [n]).rows[0]
+        [row] = elek_truncation_dim(m, [n])
         assert row.raw == 2 * n * n - oracle == n * n
         assert row.normalized == 1
 
@@ -100,7 +100,7 @@ def test_elek_plane_module_against_oracle():
 def test_quotient_table_interval_module():
     m = one_by_one(F2, Z1, {(1,): 1, (0,): 1})
     table = quotient_betti_dim(m, [2, 4, 8, 16])
-    assert [(r.raw, r.normalized) for r in table.rows] == \
+    assert [(r.raw, r.normalized) for r in table] == \
         [(1, Fraction(1, 2)), (1, Fraction(1, 4)),
          (1, Fraction(1, 8)), (1, Fraction(1, 16))]
 
@@ -108,7 +108,7 @@ def test_quotient_table_interval_module():
 def test_quotient_table_plane_module_oracle():
     m = plane_module(F2)
     for n in range(2, 9):
-        row = quotient_betti_dim(m, [n]).rows[0]
+        [row] = quotient_betti_dim(m, [n])
         induced = induce_to_quotient(m.matrix, Z2.quotient(n))
         assert row.raw == 2 * n * n - oracle_rank(induced.to_dense(), F2)
         assert row.raw == n * n + 1
@@ -118,7 +118,7 @@ def test_quotient_table_plane_module_oracle():
 def test_quotient_table_free_module():
     for group in (Z1, DINF, HEIS):
         table = quotient_betti_dim(free_rank_one(F5, group), [2, 3])
-        assert all(r.normalized == 1 for r in table.rows)
+        assert all(r.normalized == 1 for r in table)
 
 
 def test_level_validation():
@@ -136,19 +136,19 @@ def test_level_validation():
 def test_vdim_dihedral_reflection():
     m = one_by_one(F3, DINF, {(0, 1): 1, (0, 0): -1})
     v = virtual_ore_dim(m, TranslationSubgroup())
-    assert v.value == Fraction(1, 2) and v.certified
-    assert v.method is Method.VIRTUAL_ORE
-    assert v.normalizer == 2
+    assert v.normalized == Fraction(1, 2) and v.certified
+    assert v.method == "virtual-ore" and v.level == 0
+    assert v.normalizer == 2 and v.raw == 1
 
 
 def test_vdim_dihedral_translation():
     m = one_by_one(F2, DINF, {(1, 0): 1, (0, 0): 1})
-    assert virtual_ore_dim(m, TranslationSubgroup()).value == 0
+    assert virtual_ore_dim(m, TranslationSubgroup()).normalized == 0
 
 
 def test_vdim_identity_presentation():
     m = one_by_one(F5, DINF, {(0, 0): 1})
-    assert virtual_ore_dim(m, TranslationSubgroup()).value == 0
+    assert virtual_ore_dim(m, TranslationSubgroup()).normalized == 0
 
 
 def test_vdim_matches_ore_on_lattice():
@@ -157,7 +157,7 @@ def test_vdim_matches_ore_on_lattice():
         matrix = random_zd_matrix(rng, F2, 1, rng.randrange(1, 3),
                                   rng.randrange(1, 3))
         m = PresentedModule(matrix)
-        assert virtual_ore_dim(m, Sublattice(2)).value == ore_dim(m).value
+        assert virtual_ore_dim(m, Sublattice(2)).normalized == ore_dim(m).normalized
 
 
 def test_restriction_identity_scales_by_index():
@@ -168,8 +168,8 @@ def test_restriction_identity_scales_by_index():
                                   rng.randrange(1, 3), min_exp=-2)
         restricted, index = restrict_scalars(matrix, Sublattice(n))
         assert index == n
-        assert ore_dim(PresentedModule(restricted)).value == \
-            n * ore_dim(PresentedModule(matrix)).value
+        assert ore_dim(PresentedModule(restricted)).normalized == \
+            n * ore_dim(PresentedModule(matrix)).normalized
 
 
 # -- invariants -------------------------------------------------------------------
@@ -182,10 +182,10 @@ def test_additivity_exact_at_every_level():
         b = random_zd_matrix(rng, field, 1, rng.randrange(1, 3), rng.randrange(1, 3))
         ma, mb = PresentedModule(a), PresentedModule(b)
         md = PresentedModule(a.block_diag(b))
-        assert ore_dim(md).value == ore_dim(ma).value + ore_dim(mb).value
+        assert ore_dim(md).normalized == ore_dim(ma).normalized + ore_dim(mb).normalized
         for fn in (quotient_betti_dim, elek_truncation_dim):
             ta, tb, td = fn(ma, [2, 4]), fn(mb, [2, 4]), fn(md, [2, 4])
-            for ra, rb, rd in zip(ta.rows, tb.rows, td.rows):
+            for ra, rb, rd in zip(ta, tb, td):
                 assert rd.raw == ra.raw + rb.raw
                 assert rd.normalized == ra.normalized + rb.normalized
 
@@ -195,11 +195,11 @@ def test_bounds_on_random_modules():
     for _ in range(20):
         r, s = rng.randrange(1, 4), rng.randrange(1, 4)
         m = PresentedModule(random_zd_matrix(rng, F2, 1, r, s))
-        v = ore_dim(m).value
+        v = ore_dim(m).normalized
         assert max(0, s - r) <= v <= s
-        for row in quotient_betti_dim(m, [3]).rows:
+        for row in quotient_betti_dim(m, [3]):
             assert 0 <= row.normalized <= s
-        for row in elek_truncation_dim(m, [3]).rows:
+        for row in elek_truncation_dim(m, [3]):
             assert 0 <= row.normalized <= s
 
 
@@ -210,73 +210,79 @@ def test_unit_scaling_invariance():
     for _ in range(10):
         matrix = random_zd_matrix(rng, F5, 1, 2, 2)
         m = PresentedModule(matrix)
-        base_ore = ore_dim(m).value
-        base_vdim = virtual_ore_dim(m, Sublattice(2)).value
-        base_rows = quotient_betti_dim(m, [2, 4, 8]).rows
+        base_ore = ore_dim(m).normalized
+        base_vdim = virtual_ore_dim(m, Sublattice(2)).normalized
+        base_rows = quotient_betti_dim(m, [2, 4, 8])
         g = (rng.randint(-3, 3),)
         c = rng.randrange(1, 5)
         for variant in (unit_diagonal(F5, Z1, 2, rng.randrange(2), g, c).matmul(matrix),
                         matrix.matmul(unit_diagonal(F5, Z1, 2, rng.randrange(2), g, c))):
             mv = PresentedModule(variant)
-            assert ore_dim(mv).value == base_ore
-            assert virtual_ore_dim(mv, Sublattice(2)).value == base_vdim
-            assert quotient_betti_dim(mv, [2, 4, 8]).rows == base_rows
+            assert ore_dim(mv).normalized == base_ore
+            assert virtual_ore_dim(mv, Sublattice(2)).normalized == base_vdim
+            assert quotient_betti_dim(mv, [2, 4, 8]) == base_rows
 
 
 # -- combined report ----------------------------------------------------------------
 
 def test_report_interval_module():
+    # default levels: quotient 2, 4, 8, 16 and Foelner 4, 8, 16, 32
     m = one_by_one(F2, Z1, {(1,): 1, (0,): 1})
-    config = ReportConfig(quotient_levels=(2, 4, 8, 16),
-                          folner_levels=(4, 8), tol=Fraction(1, 10))
-    report = approx_report(m, config)
-    assert report.target.value == 0
-    quotient = report.table(Method.QUOTIENT)
-    assert [r.normalized for r in quotient.rows] == \
+    records, agreement = approx_report(m, tol=Fraction(1, 10))
+    target, quotient = records[0], records[1:5]
+    assert (target.method, target.normalized) == ("ore", 0)
+    assert [(r.method, r.level) for r in quotient] == \
+        [("quotient-betti", n) for n in (2, 4, 8, 16)]
+    assert [r.normalized for r in quotient] == \
         [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)]
-    assert report.agreement == {"quotient-betti": True, "elek-truncation": True}
+    assert [(r.method, r.level) for r in records[5:]] == \
+        [("elek-truncation", n) for n in (4, 8, 16, 32)]
+    assert agreement == {"quotient-betti": True, "elek-truncation": True}
 
 
 def test_report_free_module_all_ones():
-    report = approx_report(free_rank_one(F3, Z1),
-                           ReportConfig(quotient_levels=(2, 4),
-                                        folner_levels=(2, 4)))
-    assert report.target.value == 1
-    for table in report.tables:
-        assert all(r.normalized == 1 for r in table.rows)
-    assert all(report.agreement.values())
+    records, agreement = approx_report(free_rank_one(F3, Z1), levels=(2, 4))
+    assert records[0].method == "ore" and records[0].normalized == 1
+    assert [(r.method, r.level) for r in records[1:]] == [
+        ("quotient-betti", 2), ("quotient-betti", 4),
+        ("elek-truncation", 2), ("elek-truncation", 4)]
+    assert all(r.normalized == 1 for r in records[1:])
+    assert all(agreement.values())
 
 
 def test_report_dihedral_target_is_vdim():
+    # default levels: quotient 2, 4, 8, 16 and Foelner 4, 8, 16, 32
     m = one_by_one(F3, DINF, {(0, 1): 1, (0, 0): -1})
-    report = approx_report(m, ReportConfig(quotient_levels=(2, 4, 8),
-                                           folner_levels=(4, 8)))
-    assert report.target.method is Method.VIRTUAL_ORE
-    assert report.target.value == Fraction(1, 2)
-    assert report.target.normalizer == 2
-    quotient = report.table(Method.QUOTIENT)
-    assert all(r.normalized == Fraction(1, 2) for r in quotient.rows)
-    assert report.agreement["quotient-betti"] is True
+    records, agreement = approx_report(m)
+    target = records[0]
+    assert target.method == "virtual-ore"
+    assert target.normalized == Fraction(1, 2)
+    assert target.normalizer == 2
+    quotient = [r for r in records if r.method == "quotient-betti"]
+    assert [r.level for r in quotient] == [2, 4, 8, 16]
+    assert all(r.normalized == Fraction(1, 2) for r in quotient)
+    assert agreement["quotient-betti"] is True
 
 
 def test_report_heisenberg_has_no_target():
     m = free_rank_one(F2, HEIS)
-    report = approx_report(m, ReportConfig(quotient_levels=(2, 3),
-                                           folner_levels=(2, 3)))
-    assert report.target is None
-    assert report.agreement == {}
-    assert all(r.normalized == 1 for t in report.tables for r in t.rows)
+    records, agreement = approx_report(m, levels=(2, 3))
+    assert [r.method for r in records] == ["quotient-betti"] * 2 + ["elek-truncation"] * 2
+    assert agreement == {}
+    assert all(r.normalized == 1 for r in records)
 
 
 def test_report_config_validation():
-    with pytest.raises(ValueError):
-        ReportConfig(tol=Fraction(0))
+    m = free_rank_one(F2, Z1)
+    for tol in (Fraction(0), Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            approx_report(m, levels=(2,), tol=tol)
 
 
 def test_rational_coefficients_supported():
     m = one_by_one(Rationals(), Z1, {(1,): 1, (0,): -1})
-    assert ore_dim(m).value == 0
-    assert quotient_betti_dim(m, [3]).rows[0].normalized == Fraction(1, 3)
+    assert ore_dim(m).normalized == 0
+    assert quotient_betti_dim(m, [3])[0].normalized == Fraction(1, 3)
 
 
 def test_dihedral_tables_approach_vdim():
@@ -294,9 +300,9 @@ def test_dihedral_tables_approach_vdim():
                 if rng.random() < 0.85:
                     entries[(i, j)] = random_dihedral_element(rng, field)
         mod = PresentedModule(GroupRingMatrix(field, DINF, r, s, entries))
-        target = virtual_ore_dim(mod, TranslationSubgroup(), seed=k).value
-        q = quotient_betti_dim(mod, [48]).rows[0].normalized
-        f = elek_truncation_dim(mod, [48]).rows[0].normalized
+        target = virtual_ore_dim(mod, TranslationSubgroup(), seed=k).normalized
+        [q] = [r.normalized for r in quotient_betti_dim(mod, [48])]
+        [f] = [r.normalized for r in elek_truncation_dim(mod, [48])]
         assert abs(q - target) <= Fraction(1, 10)
         assert abs(f - target) <= Fraction(1, 10)
 
@@ -308,8 +314,8 @@ def random_dihedral_element(rng, field):
 
 def test_empty_presentations():
     no_generators = module(F2, Z1, 1, 0, {})
-    assert ore_dim(no_generators).value == 0
-    assert quotient_betti_dim(no_generators, [2]).rows[0].raw == 0
+    assert ore_dim(no_generators).normalized == 0
+    assert quotient_betti_dim(no_generators, [2])[0].raw == 0
     no_relations = module(F2, Z1, 0, 2, {})
-    assert ore_dim(no_relations).value == 2
-    assert elek_truncation_dim(no_relations, [3]).rows[0].normalized == 2
+    assert ore_dim(no_relations).normalized == 2
+    assert elek_truncation_dim(no_relations, [3])[0].normalized == 2

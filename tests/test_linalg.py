@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import (first_irreducible, oracle_laurent_rank, oracle_rank,
-                     oracle_rank_ext, oracle_rank_q, polymulmod, rabin_irreducible)
+from helpers import (cleared_minor_degree, first_irreducible, oracle_laurent_rank,
+                     oracle_rank, oracle_rank_ext, oracle_rank_q, polymulmod,
+                     rabin_irreducible)
 from oredim import linalg
 from oredim.errors import UnsupportedOperationError
 from oredim.fields import PrimeField, Rationals
@@ -433,6 +434,17 @@ def test_probabilistic_one_by_one():
     assert 0 < report.failure_bound < Fraction(1, 10**5)
 
 
+def test_probabilistic_bound_counts_cleared_row_degrees():
+    # each cleared row is (1 + x^2)(1, 1): row degrees 2 and 2, so D = 4 and
+    # 64 D = 256 puts the points in F_{5^4}; a bound from the entries' own
+    # degree 1 would read (2/624)^3
+    m = LaurentMatrix(F5, 1, 2, 2, {(i, j): {(-1,): 1, (1,): 1}
+                                    for i in range(2) for j in range(2)})
+    report = rank_laurent_probabilistic(m)
+    assert report.rank == 1 and not report.certified
+    assert report.failure_bound == Fraction(4, 624) ** 3
+
+
 def test_probabilistic_zero_and_constant():
     zero = LaurentMatrix(F5, 2, 3, 3, {})
     report = rank_laurent_probabilistic(zero)
@@ -440,6 +452,13 @@ def test_probabilistic_zero_and_constant():
     const = LaurentMatrix(F5, 2, 2, 2, {(0, 0): {(0, 0): 2}, (1, 1): {(0, 0): 3}})
     report = rank_laurent_probabilistic(const)
     assert report.rank == 2 and report.certified and report.failure_bound == 0
+    # rows x^-1 y^-2 (2, 1) and x^-3 (4, 2) clear to constant rows: D = 0,
+    # so the rank-deficient matrix is ranked exactly, not evaluated
+    monomial_rows = LaurentMatrix(F5, 2, 2, 2, {
+        (0, 0): {(-1, -2): 2}, (0, 1): {(-1, -2): 1},
+        (1, 0): {(-3, 0): 4}, (1, 1): {(-3, 0): 2}})
+    report = rank_laurent_probabilistic(monomial_rows)
+    assert report.rank == 1 and report.certified and report.failure_bound == 0
 
 
 def test_probabilistic_matches_bareiss_randomized():
@@ -470,7 +489,7 @@ def test_probabilistic_largest_prime_matches_bareiss():
                                            for j, q in enumerate(row)})
         report = rank_laurent_probabilistic(m, seed=k)
         assert report.rank == rank_laurent_bareiss(m) == 3
-        assert report.failure_bound == Fraction(5 * m.max_entry_degree(), p - 1) ** 3
+        assert report.failure_bound == Fraction(cleared_minor_degree(m), p - 1) ** 3
 
 
 def test_probabilistic_huge_exponents_at_largest_prime():
@@ -486,7 +505,8 @@ def test_probabilistic_huge_exponents_at_largest_prime():
         (1, 0): poly_monomial_shift(a, (n,)), (1, 1): poly_monomial_shift(b, (n,))})
     report = rank_laurent_probabilistic(m)
     assert report.rank == 1 and not report.certified
-    assert report.failure_bound == Fraction(2 * 2 * n, p ** 3 - 1) ** 3
+    # the cleared rows have degrees n and 2n, so minors have degree <= 3n
+    assert report.failure_bound == Fraction(3 * n, p ** 3 - 1) ** 3
 
 
 def test_probabilistic_ranks_trials_over_the_extension_in_place(monkeypatch):
@@ -536,10 +556,10 @@ def test_probabilistic_rational_matches_minor_oracle_with_negative_exponents():
 
 def test_probabilistic_rational_power_limit_reads_cleared_exponents():
     # x^-n + x^n has total degree n, but clearing the row makes it 1 + x^(2n):
-    # a trial raises points near 64n to the 2n-th power
+    # D = 2n, and a trial raises points near 64 * 2n to the 2n-th power
     n = 30000
     m = LaurentMatrix(Q, 1, 1, 1, {(0, 0): {(-n,): 1, (n,): 1}})
-    bits = 2 * n * (64 * n).bit_length()
+    bits = 2 * n * (64 * 2 * n).bit_length()
     assert n * (64 * n).bit_length() <= linalg.Q_POWER_BITS_LIMIT < bits
     with pytest.raises(UnsupportedOperationError, match=f"{bits} bits"):
         rank_laurent_probabilistic(m)
