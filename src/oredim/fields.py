@@ -16,6 +16,10 @@ RawScalar = Union[int, Fraction]
 # int64 (needed by the numpy elimination kernel).
 MAX_PRIME = 2**31
 
+# Fractions are immutable, so Q hands out one zero and one one.
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all n < 3,215,031,751."""
@@ -151,14 +155,17 @@ class Rationals(Field):
 
     @property
     def zero(self) -> Fraction:
-        return Fraction(0)
+        return _Q_ZERO
 
     @property
     def one(self) -> Fraction:
-        return Fraction(1)
+        return _Q_ONE
 
     def normalize(self, value) -> Fraction:
-        return Fraction(value)
+        return value if isinstance(value, Fraction) else Fraction(value)
+
+    def is_zero(self, a) -> bool:
+        return not a
 
     def add(self, a, b):
         return a + b

@@ -12,26 +12,31 @@ rank kernel can chew on:
   whitelisted finite-index subgroup H and rewrite each entry as an m x m
   block over k[H] (m = [G:H]).
 
-There is one loop per output kind.  The two plain-matrix transports share
-``_transport`` and differ only in how a product ``f * g`` is located in
-the basis: by its coset, or by its position in the Foelner box (outside
-the box it is dropped).  ``restrict_scalars`` runs one loop for both
-supported subgroups, each the kernel of a quotient whose fundamental
-domain gives the coset representatives.  These loops, like the ring
-arithmetic, only add raw coefficients: the ``PlainMatrix`` and
-``GroupRingElement`` constructors reduce into the field and drop zeros.
+The two plain-matrix transports share ``_transport``, numpy index
+arithmetic over a coordinate box, and differ only in how a product
+``f * g`` is located in the basis: by its coset (the box index of the
+product mod the quotient's moduli), or by its position in the Foelner box
+(outside the box it is dropped).  It reduces the summed coefficients into
+the field itself and fills the ``PlainMatrix`` without a per-entry
+``normalize``.  ``restrict_scalars`` runs one loop for both supported
+subgroups, each the kernel of a quotient whose fundamental domain gives
+the coset representatives.  That loop, like the ring arithmetic, only
+adds raw coefficients: the ``GroupRingMatrix`` and ``GroupRingElement``
+constructors reduce into the field and drop zeros.
 
 All plain matrices here act on row vectors, so the matrix of a composition
 is the product of the matrices in application order.
 """
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from dataclasses import dataclass
+import numpy as np
 
 from .errors import MismatchError, UnsupportedOperationError
-from .fields import Field
+from .fields import Field, PrimeField
 from .groups import DihedralInfinite, Element, FiniteQuotient, FolnerSet, Group, Zd
 from .linalg import LaurentMatrix, PlainMatrix
 
@@ -199,7 +204,7 @@ def induce_to_quotient(matrix: GroupRingMatrix, quotient: FiniteQuotient) -> Pla
     """
     if matrix.group != quotient.group:
         raise MismatchError("group mismatch")
-    return _transport(matrix, quotient.domain.elements, quotient.coset_of)
+    return _transport(matrix, quotient.moduli, wrap=True)
 
 
 def compress_to_folner(matrix: GroupRingMatrix, folner: FolnerSet) -> PlainMatrix:
@@ -210,29 +215,76 @@ def compress_to_folner(matrix: GroupRingMatrix, folner: FolnerSet) -> PlainMatri
     """
     if matrix.group != folner.group:
         raise MismatchError("group mismatch")
-    return _transport(matrix, folner.elements, folner.index)
+    return _transport(matrix, folner.sizes, wrap=False)
 
 
-def _transport(matrix: GroupRingMatrix, elements, locate) -> PlainMatrix:
+def _transport(matrix: GroupRingMatrix, sizes, wrap: bool) -> PlainMatrix:
     """The plain matrix whose row (i, u) gets entry (i, j)'s coefficient at
-    g on column (j, locate(elements[u] * g)); ``locate`` returns None for
-    a product outside the basis, and that term is dropped.  The column
-    list of each distinct g is computed once."""
-    mul = matrix.group.mul
-    n = len(elements)
-    targets: Dict[Element, list] = {}
-    acc: Dict[Tuple[int, int], object] = {}
+    g on column (j, v), where f_v = f_u * g for the elements f of the box
+    ``0 <= . < sizes`` in lex order.  With ``wrap`` the product is first
+    reduced mod ``sizes``, the quotient's moduli (its coset); without, a
+    product outside the box is dropped (a Foelner truncation).
+
+    Every g is brought into int64 range in Python ints first.  Reduction
+    mod the moduli is a homomorphism, so the coset of f * g depends only
+    on g mod the moduli.  A Foelner term with some |g[k]| >= reach[k]
+    (``Group.reach``) moves no box element into the box and is dropped.
+    What is left has coordinates of the order of the box sizes.
+
+    The box is then multiplied by each distinct g at once
+    (``Group.mul_arrays``) and located by one mixed-radix formula
+    (``np.ravel_multi_index``, wrapping mod the moduli).  The
+    (row, col, value) triples of all terms are sorted by (row, col), and
+    the values of each cell summed with ``np.add.reduceat``: int64 residues
+    below 2^31 over F_p, reduced mod p afterwards, and ``Fraction`` objects
+    over Q.  Cells that sum to zero are dropped, and the rest go into the
+    matrix as they are, already reduced into the field.
+    """
+    field, group = matrix.field, matrix.group
+    n = math.prod(sizes)
+    out = PlainMatrix(field, matrix.nrows * n, matrix.ncols * n)
+    reach = None if wrap else group.reach(sizes)
+    slots: Dict[Element, int] = {}
+    term_row, term_col, term_g, term_val = [], [], [], []
     for (i, j), el in matrix.entries.items():
-        row, col = i * n, j * n
         for g, a in el.terms.items():
-            cols = targets.get(g)
-            if cols is None:
-                cols = targets[g] = [locate(mul(f, g)) for f in elements]
-            for u, v in enumerate(cols):
-                if v is not None:
-                    key = (row + u, col + v)
-                    acc[key] = acc.get(key, 0) + a
-    return PlainMatrix(matrix.field, matrix.nrows * n, matrix.ncols * n, acc)
+            if wrap:
+                g = tuple(x % m for x, m in zip(g, sizes))
+            elif any(abs(x) >= b for x, b in zip(g, reach)):
+                continue
+            term_row.append(i * n)
+            term_col.append(j * n)
+            term_g.append(slots.setdefault(g, len(slots)))
+            term_val.append(a)
+    if not term_val:
+        return out
+    box = np.indices(sizes).reshape(len(sizes), n).T
+    prods = group.mul_arrays(box, np.array(list(slots), dtype=np.int64)[:, None, :])
+    coords = tuple(np.moveaxis(prods, -1, 0))
+    if wrap:
+        targets = np.ravel_multi_index(coords, sizes, mode="wrap")
+    else:
+        targets = np.ravel_multi_index(coords, sizes, mode="clip")
+        targets[((prods < 0) | (prods >= sizes)).any(axis=-1)] = -1
+    targets = targets[term_g]
+    keep = targets >= 0
+    rows = (np.array(term_row)[:, None] + np.arange(n))[keep]
+    if not rows.size:
+        return out
+    cols = (targets + np.array(term_col)[:, None])[keep]
+    dtype = np.int64 if isinstance(field, PrimeField) else object
+    vals = np.broadcast_to(np.array(term_val, dtype=dtype)[:, None], keep.shape)[keep]
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])])
+    sums = np.add.reduceat(vals, starts)
+    if isinstance(field, PrimeField):
+        sums %= field.p
+    nonzero = sums != 0
+    live = starts[nonzero]
+    out.entries = dict(zip(zip(rows[live].tolist(), cols[live].tolist()),
+                           sums[nonzero].tolist()))
+    return out
 
 
 @dataclass(frozen=True)

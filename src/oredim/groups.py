@@ -21,12 +21,21 @@ three models both are coordinate boxes in the normal form:
   the moduli are ``(n,)*d``, ``(n, 2)`` and ``(n, n, n)``, the
   fundamental domain is the box of the same sizes, and a coset is the box
   index of ``g mod moduli``.
+
+Each model also has its product rule on int64 arrays (``mul_arrays``), so
+that a transport multiplies a whole box by one element at once, and a
+bound on how far a box reaches (``reach``), so that it can drop an
+element no box element multiplies back into the box.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
+
+import numpy as np
 
 Element = Tuple[int, ...]
 
@@ -46,6 +55,17 @@ class Group:
 
     def generators(self) -> Tuple[Element, ...]:
         """Canonical symmetric generating set."""
+        raise NotImplementedError
+
+    def mul_arrays(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """``mul`` on int64 arrays of normal forms, coordinates on the last
+        axis; the two arrays broadcast against each other."""
+        raise NotImplementedError
+
+    def reach(self, sizes: Tuple[int, ...]) -> Tuple[int, ...]:
+        """Bounds b with |h[k]| < b[k] for every h = f^(-1) * g with f and g
+        in the box ``0 <= . < sizes``: an element h outside them moves no
+        box element into the box."""
         raise NotImplementedError
 
     def check_element(self, g) -> Element:
@@ -77,6 +97,12 @@ class Zd(Group):
         if len(g) != self.d or len(h) != self.d:
             raise ValueError("element arity does not match the group")
         return tuple(a + b for a, b in zip(g, h))
+
+    def mul_arrays(self, g, h):
+        return g + h
+
+    def reach(self, sizes):
+        return sizes
 
     def inv(self, g):
         return tuple(-a for a in g)
@@ -116,6 +142,15 @@ class DihedralInfinite(Group):
         b, f = h
         return (a - b if e else a + b, e ^ f)
 
+    def mul_arrays(self, g, h):
+        a, e = g[..., 0], g[..., 1]
+        return np.stack((a + np.where(e == 1, -h[..., 0], h[..., 0]), e ^ h[..., 1]),
+                        axis=-1)
+
+    def reach(self, sizes):
+        # f^(-1) g is (b - a, .) or (a - b, .) for f = (a, .), g = (b, .)
+        return sizes
+
     def inv(self, g):
         a, e = g
         return (a, 1) if e else (-a, 0)
@@ -149,6 +184,17 @@ class Heisenberg(Group):
         x, y, z = h
         return (a + x, b + y, c + z + b * x)
 
+    def mul_arrays(self, g, h):
+        b = g[..., 1]
+        x = h[..., 0]
+        return np.stack((g[..., 0] + x, b + h[..., 1], g[..., 2] + h[..., 2] + b * x),
+                        axis=-1)
+
+    def reach(self, sizes):
+        # f^(-1) g = (x - a, y - b, z - c - b (x - a)) for f = (a, b, c) and
+        # g = (x, y, z); the central term is below sizes[2] + sizes[0]*sizes[1].
+        return (sizes[0], sizes[1], sizes[2] + sizes[0] * sizes[1])
+
     def inv(self, g):
         a, b, c = g
         return (-a, -b, a * b - c)
@@ -173,18 +219,28 @@ class Heisenberg(Group):
 
 
 class FolnerSet:
-    """The box ``0 <= g[k] < sizes[k]`` of a group, in lex order."""
+    """The box ``0 <= g[k] < sizes[k]`` of a group, in lex order.
+
+    The transports read only ``sizes``; the element tuple and its index
+    are built on first use."""
 
     def __init__(self, group: Group, level: int, sizes: Tuple[int, ...]):
         if not isinstance(level, int) or level < 1:
             raise ValueError(f"level must be a positive integer, got {level}")
         self.group = group
         self.level = level
-        self.elements = tuple(itertools.product(*map(range, sizes)))
-        self._index = {g: i for i, g in enumerate(self.elements)}
+        self.sizes = sizes
+
+    @functools.cached_property
+    def elements(self) -> Tuple[Element, ...]:
+        return tuple(itertools.product(*map(range, self.sizes)))
+
+    @functools.cached_property
+    def _index(self):
+        return {g: i for i, g in enumerate(self.elements)}
 
     def __len__(self):
-        return len(self.elements)
+        return math.prod(self.sizes)
 
     def __iter__(self):
         return iter(self.elements)

@@ -5,11 +5,15 @@ Two matrix flavors:
 * ``PlainMatrix`` -- matrices over F_p or Q.  ``rank_sparse`` eliminates
   in Markowitz min-fill order, finding each pivot from buckets of rows and
   columns keyed by live count instead of rescanning the block; it is the
-  one kernel for Q.  ``rank_dense`` is Gaussian elimination on a numpy
-  int64 array, over F_p only: ``rank_plain`` sends small or dense F_p
-  matrices to it, and ``rank_sparse`` hands it the rest of an F_p
-  elimination once fill-in passes 50% of the remaining block.  Its kernel,
-  ``_rank_dense_modp``, is the one dense eliminator, over F_p and F_{p^e}.
+  one kernel for Q.  It computes on plain Python ints over both fields:
+  residues over F_p, and over Q rows cleared to primitive integer vectors
+  and updated fraction-free, which scales rows by nonzero constants only
+  and so keeps every pivot of elimination over Q itself.  ``rank_dense``
+  is Gaussian elimination on a numpy int64 array, over F_p only:
+  ``rank_plain`` sends small or dense F_p matrices to it, and
+  ``rank_sparse`` hands it the rest of an F_p elimination once fill-in
+  passes 50% of the remaining block.  Its kernel, ``_rank_dense_modp``,
+  is the one dense eliminator, over F_p and F_{p^e}.
 
 * ``LaurentMatrix`` -- matrices whose entries are Laurent polynomials in d
   commuting variables, i.e. matrices over the rational function field
@@ -200,7 +204,8 @@ def rank_dense(m: PlainMatrix) -> int:
 
 
 def rank_sparse(m: PlainMatrix) -> int:
-    """Markowitz-ordered elimination with a bucketed pivot search.
+    """Markowitz-ordered elimination with a bucketed pivot search, on
+    plain Python ints over both fields.
 
     Each pivot minimizes (nnz(row)-1)*(nnz(col)-1) over the live block.
     Rows and columns sit in buckets keyed by their live count, and the
@@ -216,17 +221,32 @@ def rank_sparse(m: PlainMatrix) -> int:
     that order, so ties break the same way on every run and no hash seed
     enters.  Any nonzero pivot is exact over an exact field, so the rank
     does not depend on the order and no magnitude thresholding is needed.
-    Over F_p, once the live block densifies past SPARSE_FILL_LIMIT, the
-    remainder goes to ``rank_dense``; over Q the elimination runs to the end.
+
+    Over F_p the pivot row is scaled by the pivot's inverse once, and each
+    row it meets is updated as (old - b*v) % p.  Over Q each row is
+    cleared on entry to a primitive integer vector (denominators cleared,
+    content divided out), and a row meeting the pivot row becomes
+    (pv/g)*row - (b/g)*prow, g = gcd(pv, b), divided by its content; as in
+    Bareiss's fraction-free elimination, primitive rows keep entries
+    bounded by the minors.  Both only multiply rows by nonzero constants,
+    so every zero pattern, hence every pivot and the rank, is that of
+    elimination over the field itself.  Over F_p, once the live block
+    densifies past SPARSE_FILL_LIMIT, the remainder goes to ``rank_dense``;
+    over Q the elimination runs to the end.
     """
     field = m.field
-    dense_tail = isinstance(field, PrimeField)
-    zero, sub, mul, is_zero = field.zero, field.sub, field.mul, field.is_zero
-    rows: Dict[int, Dict[int, RawScalar]] = {}
+    modp = isinstance(field, PrimeField)
+    rows: Dict[int, Dict[int, int]] = {}
     cols: Dict[int, Dict[int, None]] = {}
     for (i, j), v in sorted(m.entries.items()):
         rows.setdefault(i, {})[j] = v
         cols.setdefault(j, {})[i] = None
+    if not modp:
+        for row in rows.values():
+            lcm = math.lcm(*(v.denominator for v in row.values()))
+            for j, v in row.items():
+                row[j] = v.numerator * (lcm // v.denominator)
+            _divide_content(row)
     row_bins: Dict[int, Dict[int, None]] = {}
     col_bins: Dict[int, Dict[int, None]] = {}
     for i, row in rows.items():
@@ -237,7 +257,7 @@ def rank_sparse(m: PlainMatrix) -> int:
     live_cols = len(cols)
     rank = 0
     while rows:
-        if dense_tail and nnz > SPARSE_FILL_LIMIT * len(rows) * live_cols:
+        if modp and nnz > SPARSE_FILL_LIMIT * len(rows) * live_cols:
             return rank + _densify_rank(field, rows)
         pi, pj = _markowitz_pivot(rows, cols, row_bins, col_bins)
         # Take the pivot row and every column it touches out of their
@@ -248,27 +268,41 @@ def rank_sparse(m: PlainMatrix) -> int:
         for j in prow:
             del col_bins[len(cols[j])][j]
             del cols[j][pi]
-        pinv = field.inv(prow.pop(pj))
+        pv = prow.pop(pj)
+        if modp:
+            p = field.p
+            pinv = pow(pv, -1, p)
+            for j, v in prow.items():
+                prow[j] = v * pinv % p
         targets = cols.pop(pj)
         live_cols -= 1
         nnz -= len(targets)
         for i2 in targets:
             row2 = rows[i2]
             del row_bins[len(row2)][i2]
-            f = mul(row2.pop(pj), pinv)
+            b = row2.pop(pj)
+            if not modp:
+                g = math.gcd(pv, b)
+                b //= g
+                scale = pv // g
+                for j in row2:
+                    row2[j] *= scale
             for j, v in prow.items():
-                new = sub(row2.get(j, zero), mul(f, v))
-                if is_zero(new):
-                    if j in row2:
-                        del row2[j]
-                        del cols[j][i2]
-                        nnz -= 1
-                else:
+                new = row2.get(j, 0) - b * v
+                if modp:
+                    new %= p
+                if new:
                     if j not in row2:
                         cols[j][i2] = None
                         nnz += 1
                     row2[j] = new
+                elif j in row2:
+                    del row2[j]
+                    del cols[j][i2]
+                    nnz -= 1
             if row2:
+                if not modp:
+                    _divide_content(row2)
                 row_bins.setdefault(len(row2), {})[i2] = None
             else:
                 del rows[i2]
@@ -281,6 +315,14 @@ def rank_sparse(m: PlainMatrix) -> int:
                 live_cols -= 1
         rank += 1
     return rank
+
+
+def _divide_content(row: Dict[int, int]) -> None:
+    """Divide a nonzero integer row by the gcd of its entries, in place."""
+    content = math.gcd(*row.values())
+    if content > 1:
+        for j, v in row.items():
+            row[j] = v // content
 
 
 def _markowitz_pivot(rows, cols, row_bins, col_bins):

@@ -41,6 +41,31 @@ def plain_product(x, y):
     return PlainMatrix(f, x.nrows, y.ncols, entries)
 
 
+def oracle_transport(matrix, elements, locate):
+    """The dict-and-loop transport: row (i, u) gets entry (i, j)'s
+    coefficient at g on column (j, locate(elements[u] * g)), in Python
+    ints throughout; ``locate`` returns None for a product outside the
+    basis, and that term is dropped."""
+    n = len(elements)
+    acc = {}
+    for (i, j), el in matrix.entries.items():
+        for g, a in el.terms.items():
+            for u, f in enumerate(elements):
+                v = locate(matrix.group.mul(f, g))
+                if v is not None:
+                    key = (i * n + u, j * n + v)
+                    acc[key] = acc.get(key, 0) + a
+    return PlainMatrix(matrix.field, matrix.nrows * n, matrix.ncols * n, acc)
+
+
+def oracle_induce(matrix, quotient):
+    return oracle_transport(matrix, quotient.domain.elements, quotient.coset_of)
+
+
+def oracle_compress(matrix, folner):
+    return oracle_transport(matrix, folner.elements, folner.index)
+
+
 def unit_diagonal(field, group, n, k, g, coeff):
     """The n x n identity over k[G] with entry (k, k) the unit coeff*g.
 

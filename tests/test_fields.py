@@ -138,3 +138,12 @@ def test_value_json_round_trip():
 def test_scalar_is_zero():
     assert F2.is_zero(F2.normalize(2))
     assert not Q.is_zero(Q.normalize(Fraction(1, 3)))
+
+
+def test_rationals_reuse_constants_and_fractions():
+    assert Q.zero is Q.zero and Q.one is Q.one
+    assert Q.zero == 0 and Q.one == 1 and type(Q.zero) is Fraction
+    x = Fraction(-3, 4)
+    assert Q.normalize(x) is x
+    assert Q.normalize(3) == Fraction(3) and type(Q.normalize(3)) is Fraction
+    assert Q.is_zero(Q.zero) and Q.is_zero(Fraction(0, 5)) and not Q.is_zero(x)

@@ -1,11 +1,12 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from helpers import (folner_boundary, oracle_rank, plain_product,
-                     random_ring_element, random_zd_matrix, support_radius,
-                     unit_diagonal)
+from helpers import (folner_boundary, oracle_compress, oracle_induce,
+                     oracle_rank, plain_product, random_ring_element,
+                     random_zd_matrix, support_radius, unit_diagonal)
 from oredim.errors import MismatchError, UnsupportedOperationError
 from oredim.fields import PrimeField, Rationals
 from oredim.groupring import (GroupRingElement, GroupRingMatrix,
@@ -224,6 +225,97 @@ def test_compress_agrees_with_induce_on_interior():
                     row_i = {k: v for k, v in ind.entries.items()
                              if k[0] == i * size + u}
                     assert row_c == row_i, (group, f)
+
+
+# -- transports against the dict oracle ---------------------------------------
+
+def assert_same_transport(got, want):
+    assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+    assert got.entries == want.entries
+    kind = int if isinstance(got.field, PrimeField) else Fraction
+    assert all(type(v) is kind for v in got.entries.values())
+
+
+HUGE = 2**63
+
+
+@pytest.mark.parametrize("field", (F3, Rationals()), ids=("F_3", "Q"))
+@pytest.mark.parametrize("group,terms", [
+    (Z1, {(HUGE - 2,): 1}),
+    (Z1, {(2 * HUGE,): 1, (1,): 2}),
+    (Z1, {(-HUGE - 5,): 2, (HUGE + 1,): 1}),
+    (Z2, {(HUGE, -1): 1, (1, -3 * HUGE): 2, (0, 1): 1}),
+    (DINF, {(HUGE - 1, 1): 1, (-2 * HUGE, 0): 2}),
+    (HEIS, {(0, 0, HUGE - 1): 1}),
+    (HEIS, {(1, HUGE, 0): 1, (HUGE, 1, -HUGE): 2, (1, 1, 1): 1}),
+], ids=repr)
+@pytest.mark.parametrize("level", (3, 4))
+def test_transport_reduces_huge_exponents_first(field, group, terms, level):
+    # int64 would wrap or overflow on these; quotients reduce g mod the
+    # moduli and Foelner boxes drop terms beyond Group.reach
+    matrix = one_by_one(field, group, terms)
+    quotient, folner = group.quotient(level), group.folner_set(level)
+    assert_same_transport(induce_to_quotient(matrix, quotient),
+                          oracle_induce(matrix, quotient))
+    assert_same_transport(compress_to_folner(matrix, folner),
+                          oracle_compress(matrix, folner))
+
+
+def test_transport_folner_keeps_terms_just_inside_reach():
+    # h = (-(n-1), -(n-1), n^2 - 1 + (n-1)^2) has the largest central
+    # coordinate of any f^(-1) g in the (n, n, n^2) box: it maps
+    # (n-1, n-1, 0) to (0, 0, n^2 - 1).  One more maps nothing into the box.
+    n = 3
+    folner = HEIS.folner_set(n)
+    near = (-(n - 1), -(n - 1), n * n - 1 + (n - 1) ** 2)
+    assert near[2] < HEIS.reach(folner.sizes)[2]
+    matrix = one_by_one(F5, HEIS, {near: 1})
+    comp = compress_to_folner(matrix, folner)
+    assert comp.entries == {(folner.index((n - 1, n - 1, 0)),
+                             folner.index((0, 0, n * n - 1))): 1}
+    assert_same_transport(comp, oracle_compress(matrix, folner))
+    beyond = one_by_one(F5, HEIS, {near[:2] + (near[2] + 1,): 1})
+    assert compress_to_folner(beyond, folner).nnz == 0
+
+
+def random_transport_matrix(rng, field, group, level):
+    """An r x s matrix whose terms reach past the box, with a quotient
+    twin g * (n, 0, ..) of some term carrying the opposite coefficient, so
+    that their contributions cancel on every coset."""
+    entries = {}
+    nrows, ncols = rng.randint(1, 3), rng.randint(1, 3)
+    for i in range(nrows):
+        for j in range(ncols):
+            if rng.random() < 0.3:
+                continue
+            el = random_ring_element(rng, field, group, max_terms=4,
+                                     span=rng.choice((1, level, 3 * level)))
+            terms = dict(el.terms)
+            if terms and rng.random() < 0.5:
+                g, a = next(iter(terms.items()))
+                twin = (g[0] + level,) + g[1:]
+                terms[twin] = field.neg(a)
+            entries[(i, j)] = GroupRingElement(field, group, terms)
+    return GroupRingMatrix(field, group, nrows, ncols, entries)
+
+
+@pytest.mark.parametrize("field", (F2, F3, PrimeField(1000003), Rationals()), ids=repr)
+@pytest.mark.parametrize("group", (Z1, Z2, Zd(3), DINF, HEIS), ids=repr)
+def test_transports_match_dict_oracle_randomized(field, group):
+    rng = random.Random(f"{field!r} {group!r}")
+    collided = 0
+    for level in (1, 2, 3, 4):
+        for _ in range(6):
+            matrix = random_transport_matrix(rng, field, group, level)
+            quotient, folner = group.quotient(level), group.folner_set(level)
+            induced = induce_to_quotient(matrix, quotient)
+            assert_same_transport(induced, oracle_induce(matrix, quotient))
+            assert_same_transport(compress_to_folner(matrix, folner),
+                                  oracle_compress(matrix, folner))
+            # some cell of the quotient took two contributions or cancelled
+            collided += sum(len(el.terms) for el in matrix.entries.values()) \
+                * quotient.index > induced.nnz
+    assert collided
 
 
 # -- restriction of scalars ---------------------------------------------------

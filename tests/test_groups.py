@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import folner_boundary, random_element, word_ball
@@ -44,6 +45,26 @@ def test_associativity_and_inverses_randomized(group):
         assert group.mul(group.mul(g, h), k) == group.mul(g, group.mul(h, k))
         assert group.mul(g, group.inv(g)) == e
         assert group.mul(group.inv(g), g) == e
+
+
+@pytest.mark.parametrize("group", MODELS)
+def test_mul_arrays_matches_mul(group):
+    rng = random.Random(19)
+    gs = [random_element(rng, group, span=50) for _ in range(40)]
+    hs = [random_element(rng, group, span=50) for _ in range(7)]
+    got = group.mul_arrays(np.array(gs)[None, :, :], np.array(hs)[:, None, :])
+    assert got.tolist() == [[list(group.mul(g, h)) for g in gs] for h in hs]
+
+
+@pytest.mark.parametrize("group", MODELS)
+def test_reach_bounds_every_box_quotient(group):
+    for n in (1, 2, 3):
+        box = group.folner_set(n)
+        reach = group.reach(box.sizes)
+        for f in box:
+            for g in box:
+                h = group.mul(group.inv(f), g)
+                assert all(abs(x) < b for x, b in zip(h, reach)), (n, f, g)
 
 
 def test_heisenberg_commutator_is_central():

@@ -325,6 +325,92 @@ def test_rank_sparse_pivots_depend_only_on_the_matrix(monkeypatch):
     assert runs[0] and runs[0] == runs[1] == runs[2]
 
 
+BIG = 2**64
+
+
+def q_matrix(rows):
+    return PlainMatrix(Q, len(rows), len(rows[0]),
+                       {(i, j): Fraction(v) for i, row in enumerate(rows)
+                        for j, v in enumerate(row) if v})
+
+
+@pytest.mark.parametrize("rows,rank", [
+    # mixed denominators, full rank
+    ([[Fraction(1, 2), Fraction(1, 3), 0], [Fraction(2, 5), Fraction(-3, 7), Fraction(5, 11)],
+      [0, Fraction(1, 6), Fraction(-1, 10)]], 3),
+    # the second row is 3/2 times the first once cleared: content reduction
+    ([[6, 10, 14], [9, 15, 21], [Fraction(3, 4), Fraction(5, 4), 1]], 2),
+    # entries above 2^64, rank deficient: row 2 = row 0 * (BIG+1)/3 + row 1
+    ([[BIG + 3, Fraction(1, BIG), -7], [5, BIG * BIG, Fraction(-2, 3)],
+      [Fraction((BIG + 3) * (BIG + 1), 3) + 5, Fraction(BIG + 1, 3 * BIG) + BIG * BIG,
+       Fraction(-7 * (BIG + 1), 3) - Fraction(2, 3)]], 2),
+    # negative pivots everywhere
+    ([[-3, -5, 0, 0], [0, -7, -11, 0], [0, 0, -13, -17], [-2, 0, 0, -19]], 4),
+    # a negative pivot that cancels a row exactly: rows 1 = -2/3 * row 0
+    ([[-3, 6, Fraction(9, 2)], [2, -4, -3], [0, 0, 0]], 1),
+    ([[0, 0], [0, 0]], 0),
+], ids=("mixed-denominators", "content", "above-2^64", "negative-pivots",
+        "cancel", "zero"))
+def test_rank_sparse_rational_cases_match_fraction_oracle(rows, rank):
+    m = q_matrix(rows)
+    assert oracle_rank_q(rows) == rank
+    assert rank_sparse(m) == rank
+    assert rank_sparse(m.transpose()) == rank
+
+
+def test_rank_sparse_rational_randomized_against_fraction_oracle():
+    rng = random.Random(139)
+
+    def value():
+        num = rng.choice((rng.randint(-9, 9), rng.randint(-BIG * BIG, BIG * BIG)))
+        return Fraction(num, rng.choice((1, 2, 3, 7, 12, BIG + 1)))
+
+    for k in range(40):
+        nrows, ncols = rng.randint(1, 14), rng.randint(1, 14)
+        base = [{j: value() for j in rng.sample(range(ncols), rng.randint(0, min(ncols, 4)))}
+                for _ in range(rng.randint(0, nrows))]
+        rows = []
+        for _ in range(nrows):
+            # a row is a scaled base row, a sum of two, or new
+            if base and rng.random() < 0.6:
+                a, b = rng.choice(base), rng.choice(base)
+                ca, cb = value() or 1, rng.choice((0, value()))
+                row = {j: ca * a.get(j, 0) + cb * b.get(j, 0) for j in set(a) | set(b)}
+            else:
+                row = {j: value() for j in rng.sample(range(ncols), rng.randint(0, min(ncols, 3)))}
+            rows.append([row.get(j, Fraction(0)) for j in range(ncols)])
+        m = q_matrix(rows)
+        want = oracle_rank_q(rows)
+        assert rank_sparse(m) == want, k
+        assert rank_sparse(m.transpose()) == want, k
+
+
+def test_rank_sparse_rational_pivots_ignore_row_scaling(monkeypatch):
+    # Rows enter as primitive integer vectors, so scaling a row by a
+    # nonzero rational changes no zero pattern and no pivot.
+    pivots = []
+    real_search = linalg._markowitz_pivot
+
+    def spy(*args):
+        pivots.append(real_search(*args))
+        return pivots[-1]
+
+    monkeypatch.setattr(linalg, "_markowitz_pivot", spy)
+    rng = random.Random(149)
+    entries = {(rng.randrange(30), rng.randrange(36)): Fraction(rng.randint(-4, 4) or 1,
+                                                             rng.randint(1, 5))
+               for _ in range(110)}
+    scale = {i: Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**20), rng.randint(1, 99))
+             for i in range(30)}
+    runs = []
+    for ents in (entries, {(i, j): v * scale[i] for (i, j), v in entries.items()}):
+        pivots.clear()
+        rank = rank_sparse(PlainMatrix(Q, 30, 36, ents))
+        runs.append((rank, list(pivots)))
+    assert runs[0][1] and runs[0] == runs[1]
+    assert runs[0][0] == oracle_rank(PlainMatrix(Q, 30, 36, entries).to_dense(), Q)
+
+
 # -- metamorphic invariances ---------------------------------------------------
 
 def test_plain_rank_invariances():
