@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: ore, approx, folner, vdim, homology, betti-finite, selftest.
+Subcommands: ore, approx, folner, vdim, homology, betti-finite.
 Inputs are JSON files in the wire formats of ``jsonio``.  Each subcommand
 prints the ``dimensions.Record`` rows the library returns, unchanged, as
 CSV (header ``method,level,normalizer,raw,normalized,certified``) or as a
@@ -113,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     command("vdim", "virtual Ore dimension")
     command("homology", "homology dimensions of a chain complex", levels=True)
     command("betti-finite", "Betti numbers of finite quotient groups (Z/n)^d")
-    sub.add_parser("selftest", help="run the acceptance suite")
     return parser
 
 
@@ -156,9 +155,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "selftest":
-            from .selftest import run_all
-            return 0 if run_all() else 1
         if args.command == "approx":
             records, extra = _run_approx(args)
         else:

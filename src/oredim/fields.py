@@ -48,9 +48,6 @@ def is_prime(n: int) -> bool:
 class Field:
     """Common interface of the two coefficient fields."""
 
-    def characteristic(self) -> int:
-        raise NotImplementedError
-
     @property
     def zero(self) -> RawScalar:
         raise NotImplementedError
@@ -97,9 +94,6 @@ class PrimeField(Field):
             raise ValueError(f"prime field order must be an integer in [2, 2^31): {self.p}")
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-
-    def characteristic(self) -> int:
-        return self.p
 
     @property
     def zero(self) -> int:
@@ -150,9 +144,6 @@ class PrimeField(Field):
 
 @dataclass(frozen=True)
 class Rationals(Field):
-    def characteristic(self) -> int:
-        return 0
-
     @property
     def zero(self) -> Fraction:
         return _Q_ZERO

@@ -511,22 +511,25 @@ class LaurentMatrix:
 
 
 def _clearing_shifts(m: LaurentMatrix):
-    """Per row, the exponent of the monomial that clears the row's negative
-    exponents (0 in each variable whose exponents are all nonnegative)."""
-    mins = [(0,) * m.nvars] * m.nrows
+    """Per row, the exponent of the monomial that divides the row by its
+    least monomial: minus the least exponent of each variable over the
+    row's terms (0 for an empty row).  The cleared row has nonnegative
+    exponents, and each variable reaches 0 in some term."""
+    mins = {}
     for (i, _), poly in m.entries.items():
         for exp in poly:
-            mins[i] = tuple(map(min, mins[i], exp))
-    return [tuple(-x for x in row) for row in mins]
+            mins[i] = tuple(map(min, mins.get(i, exp), exp))
+    zero = (0,) * m.nvars
+    return [tuple(-x for x in mins.get(i, zero)) for i in range(m.nrows)]
 
 
 def rank_laurent_bareiss(m: LaurentMatrix, *, _work_limit=None) -> Optional[int]:
     """Certified rank over k(t_1..t_d) by fraction-free elimination.
 
-    Each row is first scaled by a monomial clearing negative exponents
-    (units do not change rank).  The one-step Bareiss recurrence then
-    keeps every entry a minor of the cleared matrix, so the division by
-    the previous pivot is exact; columns with no pivot are skipped, rows
+    Each row is first divided by its least monomial (units do not change
+    rank), which leaves no negative exponent.  The one-step Bareiss
+    recurrence then keeps every entry a minor of the cleared matrix, so
+    the division by the previous pivot is exact; columns with no pivot are skipped, rows
     are swapped to the first nonzero candidate.  ``rank_laurent`` alone
     passes ``_work_limit``: None comes back once term products pass it.
     """
@@ -750,17 +753,17 @@ def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0) -> RankReport:
     three trials.  Evaluation can only lower the rank, so a trial that
     reaches min(r, s) certifies it.
 
-    Each row is first scaled by the monomial clearing its negative
-    exponents, which does not change the rank at any point, so evaluation
-    needs no inverses.  A row's degree is the largest total degree of its
+    Each row is first divided by its least monomial, the monomial whose
+    exponent in each variable is the least over the row's terms.  That
+    does not change the rank at any point, and it leaves no negative
+    exponent, so evaluation needs no inverses.  A row's degree is the largest total degree of its
     cleared terms, and a minor of the cleared matrix has total degree at
     most the sum of its rows' degrees.  So the nonzero minors have degree
     at most D, the sum of the min(r, s) largest row degrees, and a
     uniformly random point from a sample space of size >= 64*D witnesses
     full generic rank except with probability <= D/|space| per trial.
-    D = 0 means every row is a constant row times a monomial with no
-    positive exponent; the cleared matrix is then constant and is ranked
-    exactly.
+    D = 0 means every row is a constant row times a monomial; the cleared
+    matrix is then constant and is ranked exactly.
 
     Over F_p the points lie in F_{p^e}, e the least degree with
     p^e - 1 >= 64*D (e = 1 when p is large enough).  A trial evaluates

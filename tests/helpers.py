@@ -3,8 +3,7 @@
 Everything here is deliberately naive (plain lists and dicts, nothing from
 the package's elimination kernels) so that expected values frozen in the
 tests come from a second route.  The textbook rank oracle is
-``selftest.textbook_rank``, the list-based Gauss-Jordan that ``oredim
-selftest`` cross-checks with.
+``oracle_rank``, list-based Gauss-Jordan elimination.
 """
 from __future__ import annotations
 
@@ -16,7 +15,28 @@ from oredim.fields import PrimeField, Rationals
 from oredim.groupring import GroupRingElement, GroupRingMatrix
 from oredim.groups import Zd
 from oredim.linalg import PlainMatrix
-from oredim.selftest import textbook_rank as oracle_rank
+
+
+def oracle_rank(rows, field):
+    """Rank of a list of rows over ``field`` by Gauss-Jordan elimination
+    on plain lists, independent of the numpy and Markowitz kernels."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows))
+                    if not field.is_zero(rows[i][c])), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = field.inv(rows[rank][c])
+        rows[rank] = [field.mul(inv, x) for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and not field.is_zero(rows[i][c]):
+                f = rows[i][c]
+                rows[i] = [field.sub(x, field.mul(f, y))
+                           for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 def oracle_rank_modp(int_rows, p):
@@ -228,6 +248,26 @@ def oracle_rank_ext(cells, modulus, p):
     return rank // e
 
 
+# -- finite group Betti numbers ------------------------------------------------
+
+def betti_oracle(d, n, field, i_max):
+    """Betti numbers b_0..b_i_max of (Z/n)^d over ``field``: the Kuenneth
+    convolution of those of Z/n, read off its periodic resolution, whose
+    boundary maps alternate 0 (odd degrees) and multiplication by n (even
+    degrees)."""
+    def boundary_rank(i):
+        if i < 1 or i % 2 == 1:
+            return 0
+        return 0 if field.is_zero(field.normalize(n)) else 1
+
+    single = [1 - boundary_rank(i) - boundary_rank(i + 1) for i in range(i_max + 1)]
+    out = single
+    for _ in range(d - 1):
+        out = [sum(out[j] * single[m - j] for j in range(m + 1))
+               for m in range(i_max + 1)]
+    return out
+
+
 # -- polynomial determinant oracle (for tiny Laurent matrices) -------------
 
 def _po_mul(a, b, field):
@@ -294,13 +334,13 @@ def oracle_laurent_rank(m):
 def cleared_minor_degree(m):
     """The Schwartz-Zippel degree of a Laurent matrix: the most that
     min(r, s) distinct rows add up to, where a row counts the largest
-    total degree of its terms after the row is multiplied by the monomial
-    that clears its negative exponents."""
+    total degree of its terms after the row is divided by its least
+    monomial (per variable, the least exponent over the row)."""
     def row_degree(i):
         exps = [e for (a, _), poly in m.entries.items() if a == i for e in poly]
         if not exps:
             return 0
-        low = [min(0, *column) for column in zip(*exps)]
+        low = [min(column) for column in zip(*exps)]
         return max(sum(x - lo for x, lo in zip(e, low)) for e in exps)
 
     degrees = [row_degree(i) for i in range(m.nrows)]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import oracle_rank, random_zd_matrix
+from helpers import betti_oracle, oracle_rank, random_zd_matrix
 from oredim.chains import (FreeChainComplex, build_degree_p_attachment,
                            build_koszul, char_comparison, finite_group_betti,
                            homology_report, ore_homology, quotient_homology)
@@ -90,14 +90,15 @@ def test_attachment_higher_dimension():
 def test_attachment_ore_characteristic_split():
     rows2 = ore_homology(build_degree_p_attachment(2, 2, F2))
     assert raws(rows2) == (0, 0, 1, 1) and all(r.certified for r in rows2)
-    assert raws(ore_homology(build_degree_p_attachment(2, 2, F5))) == (0, 0, 0, 0)
+    rows5 = ore_homology(build_degree_p_attachment(2, 2, F5))
+    assert raws(rows5) == (0, 0, 0, 0) and all(r.certified for r in rows5)
 
 
 def test_attachment_quotient_dims_constant_normalized():
-    rows = quotient_homology(build_degree_p_attachment(2, 2, F2), [2, 4, 8])
-    assert by_level(rows) == {n: (n, (1, 1, n, n)) for n in (2, 4, 8)}
+    rows = quotient_homology(build_degree_p_attachment(2, 2, F2), [2, 4, 8, 16])
+    assert by_level(rows) == {n: (n, (1, 1, n, n)) for n in (2, 4, 8, 16)}
     assert all(r.normalized == 1 for r in rows if r.method in ("quotient-h2", "quotient-h3"))
-    rows5 = quotient_homology(build_degree_p_attachment(2, 2, F5), [2, 4, 8])
+    rows5 = quotient_homology(build_degree_p_attachment(2, 2, F5), [2, 4, 8, 16])
     for _, dims in by_level(rows5).values():
         assert dims[2] == dims[3] == 0
 
@@ -206,6 +207,18 @@ def test_finite_betti_mixed_characteristic():
     assert finite_group_betti(1, 6, F5, 3) == [1, 0, 0, 0]
 
 
+def test_finite_betti_plane_sublinear_against_kuenneth():
+    # b_i((Z/n)^2; F_2) = 1, 2, 3 for every even n, so b_i / n^2 falls
+    # strictly along n = 2, 4, 8
+    values = {n: finite_group_betti(2, n, F2, 2) for n in (2, 4, 8)}
+    for n, betti in values.items():
+        assert betti == betti_oracle(2, n, F2, 2)
+    for i in (1, 2):
+        ratios = [Fraction(values[n][i], n * n) for n in (2, 4, 8)]
+        assert ratios[0] > ratios[1] > ratios[2]
+        assert ratios[0] <= Fraction(3, 4) and ratios[2] <= Fraction(3, 64)
+
+
 def test_finite_betti_validation():
     with pytest.raises(ValueError):
         finite_group_betti(4, 2, F2, 2)
@@ -218,9 +231,9 @@ def test_finite_betti_validation():
 # -- characteristic comparison ---------------------------------------------------------
 
 def test_char_comparison_attachment():
-    over_q, over_p = char_comparison(build_degree_p_attachment(2, 2, Q), 2, [2, 4])
-    assert by_level(over_q) == {n: (n, (1, 1, 0, 0)) for n in (2, 4)}
-    assert by_level(over_p) == {n: (n, (1, 1, n, n)) for n in (2, 4)}
+    over_q, over_p = char_comparison(build_degree_p_attachment(2, 2, Q), 2, [2, 4, 8])
+    assert by_level(over_q) == {n: (n, (1, 1, 0, 0)) for n in (2, 4, 8)}
+    assert by_level(over_p) == {n: (n, (1, 1, n, n)) for n in (2, 4, 8)}
 
 
 def test_char_comparison_koszul_equality():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import time
 
@@ -260,7 +261,8 @@ def test_approx_json_full_text(z_module_path, capsys):
         + ",\n".join(records) + '\n  ],\n  "tol": "1/20"\n}\n')
 
 
-# the options each subcommand reads; --rank-alg is gone from all of them
+# the subcommands and the options each one reads; --rank-alg is gone from
+# all of them
 ACCEPTED = {
     "ore": {"--seed", "--out", "--format"},
     "vdim": {"--seed", "--out", "--format"},
@@ -275,6 +277,11 @@ OPTION_VALUES = {"--levels": "2", "--seed": "1", "--tol": "1/2", "--out": "o.csv
 
 def test_each_subcommand_accepts_only_its_options():
     parser = cli.build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(ACCEPTED)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["selftest"])
+    assert exc.value.code == 2
     for command, accepted in ACCEPTED.items():
         for option, value in OPTION_VALUES.items():
             try:
@@ -332,20 +339,3 @@ def test_ore_q_degree_too_large_to_evaluate_exits_3(tmp_path, capsys):
     assert time.perf_counter() - start < 2
     assert code == 3 and out == ""
     assert "26000000 bits" in err
-
-
-def test_selftest_aggregation(monkeypatch, capsys):
-    from oredim import selftest
-
-    monkeypatch.setattr(selftest, "CRITERIA",
-                        (("always-good", lambda: (True, "fine")),))
-    assert cli.main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "[PASS] always-good: fine" in out
-
-    monkeypatch.setattr(selftest, "CRITERIA",
-                        (("always-good", lambda: (True, "fine")),
-                         ("always-bad", lambda: (False, "broken"))))
-    assert cli.main(["selftest"]) == 1
-    out = capsys.readouterr().out
-    assert "[FAIL] always-bad: broken" in out

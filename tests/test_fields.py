@@ -91,11 +91,6 @@ def test_large_prime_no_overflow():
         assert field.add(a, b) == (a + b) % p
 
 
-def test_characteristics():
-    assert F7.characteristic() == 7
-    assert Q.characteristic() == 0
-
-
 def test_prime_validation():
     for bad in (0, 1, 4, 9, 2**31, 2**31 + 11, -7):
         with pytest.raises(ValueError):

@@ -46,6 +46,39 @@ def random_laurent(rng, field, nvars, nrows, ncols, deg=1, density=0.7):
     return LaurentMatrix(field, nvars, nrows, ncols, entries)
 
 
+def random_laurent_5x5(rng, field):
+    """A bivariate 5x5 over F_p: each entry is zero with probability 1/2,
+    else 1 to 3 terms with exponents in {-1, 0, 1}^2."""
+    exps = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    entries = {}
+    for i in range(5):
+        for j in range(5):
+            if rng.random() < 0.5:
+                continue
+            poly = {}
+            for _ in range(rng.randrange(1, 4)):
+                c = rng.randrange(1, field.p)
+                e = rng.choice(exps)
+                poly[e] = (poly.get(e, 0) + c) % field.p
+            entries[(i, j)] = poly
+    return LaurentMatrix(field, 2, 5, 5, entries)
+
+
+def random_sparse_plain(rng, field):
+    """A 4..64 x 4..64 matrix with up to 10% of its cells drawn nonzero."""
+    nrows, ncols = rng.randrange(4, 65), rng.randrange(4, 65)
+    entries = {}
+    for _ in range(max(1, int(0.1 * nrows * ncols * rng.random()))):
+        i, j = rng.randrange(nrows), rng.randrange(ncols)
+        if isinstance(field, PrimeField):
+            v = rng.randrange(1, field.p)
+        else:
+            v = Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+        if not field.is_zero(field.normalize(v)):
+            entries[(i, j)] = v
+    return PlainMatrix(field, nrows, ncols, entries)
+
+
 def _exps(nvars, deg):
     import itertools
     for e in itertools.product(range(-deg, deg + 1), repeat=nvars):
@@ -545,6 +578,15 @@ def test_probabilistic_zero_and_constant():
         (1, 0): {(-3, 0): 4}, (1, 1): {(-3, 0): 2}})
     report = rank_laurent_probabilistic(monomial_rows)
     assert report.rank == 1 and report.certified and report.failure_bound == 0
+    # so do rows x^3 (4, 2) and x^-1 y^2 (2, 1), each divided by its least
+    # monomial; clearing only negative exponents would leave row degrees 3
+    # and 2, D = 5 and three uncertified trials in F_{5^4}
+    positive_rows = LaurentMatrix(F5, 2, 2, 2, {
+        (0, 0): {(3, 0): 4}, (0, 1): {(3, 0): 2},
+        (1, 0): {(-1, 2): 2}, (1, 1): {(-1, 2): 1}})
+    assert cleared_minor_degree(positive_rows) == 0
+    report = rank_laurent_probabilistic(positive_rows)
+    assert report.rank == 1 and report.certified and report.failure_bound == 0
 
 
 def test_probabilistic_matches_bareiss_randomized():
@@ -591,8 +633,10 @@ def test_probabilistic_huge_exponents_at_largest_prime():
         (1, 0): poly_monomial_shift(a, (n,)), (1, 1): poly_monomial_shift(b, (n,))})
     report = rank_laurent_probabilistic(m)
     assert report.rank == 1 and not report.certified
-    # the cleared rows have degrees n and 2n, so minors have degree <= 3n
-    assert report.failure_bound == Fraction(3 * n, p ** 3 - 1) ** 3
+    # both rows divided by their least monomials (1 and x^n) have degree n,
+    # so minors have degree <= 2n, and 64 * 2n still passes p^2
+    assert cleared_minor_degree(m) == 2 * n
+    assert report.failure_bound == Fraction(2 * n, p ** 3 - 1) ** 3
 
 
 def test_probabilistic_ranks_trials_over_the_extension_in_place(monkeypatch):
@@ -677,6 +721,43 @@ def test_laurent_transpose_and_scaling_invariance():
                      if j == 1 else p)
             for (i, j), p in m.entries.items()})
         assert rank_laurent_bareiss(shifted) == base
+
+
+def test_rank_engine_metamorphic_randomized():
+    # 100 bivariate 5x5 over F_5: evaluation agrees with Bareiss on the
+    # matrix, its transpose, its rows and columns reversed, and its row 0
+    # times x^2 y^-1.  Then 200 sparse plain matrices from the same
+    # generator: rank_sparse agrees with rank_dense over F_p and with
+    # oracle_rank over Q, and so do the transpose, the rows reversed and
+    # row 0 times a unit
+    rng = random.Random(818)
+    for k in range(100):
+        m = random_laurent_5x5(rng, F5)
+        want = rank_laurent_bareiss(m)
+        reversed_ = LaurentMatrix(F5, 2, 5, 5, {(4 - i, 4 - j): poly for (i, j), poly
+                                                in m.entries.items()})
+        shifted = LaurentMatrix(F5, 2, 5, 5, {
+            (i, j): poly_monomial_shift(poly, (2, -1)) if i == 0 else poly
+            for (i, j), poly in m.entries.items()})
+        for seed, variant in enumerate((m, m.transpose(), reversed_, shifted), start=k):
+            assert rank_laurent_probabilistic(variant, seed=seed).rank == want, (k, seed)
+    fields = (F2, F3, PrimeField(101), Q)
+    for k in range(200):
+        field = fields[k % 4]
+        m = random_sparse_plain(rng, field)
+        if isinstance(field, PrimeField):
+            kernel, want = rank_dense, rank_dense(m)
+            unit = 2 if field.p > 2 else 1
+        else:
+            kernel, want = rank_sparse, oracle_rank(m.to_dense(), field)
+            unit = Fraction(-3, 7)
+        reversed_ = {(m.nrows - 1 - i, j): v for (i, j), v in m.entries.items()}
+        scaled = {(i, j): field.mul(v, field.normalize(unit)) if i == 0 else v
+                  for (i, j), v in m.entries.items()}
+        assert rank_sparse(m) == want, k
+        assert kernel(m.transpose()) == want, k
+        assert kernel(PlainMatrix(field, m.nrows, m.ncols, reversed_)) == want, k
+        assert rank_sparse(PlainMatrix(field, m.nrows, m.ncols, scaled)) == want, k
 
 
 # -- dispatchers ---------------------------------------------------------------
