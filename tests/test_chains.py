@@ -94,13 +94,22 @@ def test_attachment_ore_characteristic_split():
     assert raws(rows5) == (0, 0, 0, 0) and all(r.certified for r in rows5)
 
 
-def test_attachment_quotient_dims_constant_normalized():
-    rows = quotient_homology(build_degree_p_attachment(2, 2, F2), [2, 4, 8, 16])
-    assert by_level(rows) == {n: (n, (1, 1, n, n)) for n in (2, 4, 8, 16)}
+def check_attachment_quotient_dims(levels):
+    rows = quotient_homology(build_degree_p_attachment(2, 2, F2), levels)
+    assert by_level(rows) == {n: (n, (1, 1, n, n)) for n in levels}
     assert all(r.normalized == 1 for r in rows if r.method in ("quotient-h2", "quotient-h3"))
-    rows5 = quotient_homology(build_degree_p_attachment(2, 2, F5), [2, 4, 8, 16])
+    rows5 = quotient_homology(build_degree_p_attachment(2, 2, F5), levels)
+    assert sorted(by_level(rows5)) == list(levels)
     for _, dims in by_level(rows5).values():
         assert dims[2] == dims[3] == 0
+
+
+def test_attachment_quotient_dims_constant_normalized():
+    check_attachment_quotient_dims([2, 4, 8])
+
+
+def test_attachment_quotient_dims_at_level_16():
+    check_attachment_quotient_dims([16])
 
 
 # -- koszul -----------------------------------------------------------------------
@@ -230,10 +239,18 @@ def test_finite_betti_validation():
 
 # -- characteristic comparison ---------------------------------------------------------
 
+def check_char_comparison_attachment(levels):
+    over_q, over_p = char_comparison(build_degree_p_attachment(2, 2, Q), 2, levels)
+    assert by_level(over_q) == {n: (n, (1, 1, 0, 0)) for n in levels}
+    assert by_level(over_p) == {n: (n, (1, 1, n, n)) for n in levels}
+
+
 def test_char_comparison_attachment():
-    over_q, over_p = char_comparison(build_degree_p_attachment(2, 2, Q), 2, [2, 4, 8])
-    assert by_level(over_q) == {n: (n, (1, 1, 0, 0)) for n in (2, 4, 8)}
-    assert by_level(over_p) == {n: (n, (1, 1, n, n)) for n in (2, 4, 8)}
+    check_char_comparison_attachment([2, 4])
+
+
+def test_char_comparison_attachment_at_level_8():
+    check_char_comparison_attachment([8])
 
 
 def test_char_comparison_koszul_equality():

@@ -578,9 +578,13 @@ def test_probabilistic_zero_and_constant():
         (1, 0): {(-3, 0): 4}, (1, 1): {(-3, 0): 2}})
     report = rank_laurent_probabilistic(monomial_rows)
     assert report.rank == 1 and report.certified and report.failure_bound == 0
-    # so do rows x^3 (4, 2) and x^-1 y^2 (2, 1), each divided by its least
-    # monomial; clearing only negative exponents would leave row degrees 3
-    # and 2, D = 5 and three uncertified trials in F_{5^4}
+
+
+def test_probabilistic_divides_rows_by_least_monomial():
+    # rows x^3 (4, 2) and x^-1 y^2 (2, 1) clear to constant rows once each
+    # is divided by its least monomial; clearing only negative exponents
+    # would leave row degrees 3 and 2, D = 5 and three uncertified trials
+    # in F_{5^4}
     positive_rows = LaurentMatrix(F5, 2, 2, 2, {
         (0, 0): {(3, 0): 4}, (0, 1): {(3, 0): 2},
         (1, 0): {(-1, 2): 2}, (1, 1): {(-1, 2): 1}})
@@ -723,13 +727,10 @@ def test_laurent_transpose_and_scaling_invariance():
         assert rank_laurent_bareiss(shifted) == base
 
 
-def test_rank_engine_metamorphic_randomized():
+def test_rank_engine_metamorphic_laurent():
     # 100 bivariate 5x5 over F_5: evaluation agrees with Bareiss on the
     # matrix, its transpose, its rows and columns reversed, and its row 0
-    # times x^2 y^-1.  Then 200 sparse plain matrices from the same
-    # generator: rank_sparse agrees with rank_dense over F_p and with
-    # oracle_rank over Q, and so do the transpose, the rows reversed and
-    # row 0 times a unit
+    # times x^2 y^-1
     rng = random.Random(818)
     for k in range(100):
         m = random_laurent_5x5(rng, F5)
@@ -741,6 +742,16 @@ def test_rank_engine_metamorphic_randomized():
             for (i, j), poly in m.entries.items()})
         for seed, variant in enumerate((m, m.transpose(), reversed_, shifted), start=k):
             assert rank_laurent_probabilistic(variant, seed=seed).rank == want, (k, seed)
+
+
+def test_rank_engine_metamorphic_plain():
+    # 200 sparse plain matrices, drawn after the 100 Laurent matrices of
+    # the test above from the same generator: rank_sparse agrees with
+    # rank_dense over F_p and with oracle_rank over Q, and so do the
+    # transpose, the rows reversed and row 0 times a unit
+    rng = random.Random(818)
+    for _ in range(100):
+        random_laurent_5x5(rng, F5)
     fields = (F2, F3, PrimeField(101), Q)
     for k in range(200):
         field = fields[k % 4]
