@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import shutil
 import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -87,15 +89,39 @@ def _emit(text: str, out: Optional[str]):
         sys.stdout.write(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name -> (help line, reads --levels, reads --tol)
+COMMANDS = {
+    "ore": ("exact Ore dimension of a Z^d module", False, False),
+    "approx": ("all dimension functions side by side", True, True),
+    "folner": ("Foelner truncation table", True, False),
+    "vdim": ("virtual Ore dimension", False, False),
+    "homology": ("homology dimensions of a chain complex", True, False),
+    "betti-finite": ("Betti numbers of finite quotient groups (Z/n)^d", False, False),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argument parser, built for one request.
+
+    Every subcommand is registered, so usage and error text do not depend
+    on ``command``.  When ``command`` names a subcommand, only its
+    subparser gets options, since ``parse_args`` dispatches to no other;
+    otherwise all of them do.  The help width is read once per build,
+    because argparse reads the terminal size for every ``add_argument``.
+    """
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="oredim",
         description="Exact dimension functions for modules over group rings "
-                    "of Z^d, the infinite dihedral group, and the Heisenberg group.")
+                    "of Z^d, the infinite dihedral group, and the Heisenberg group.",
+        formatter_class=formatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, summary, levels=False, tol=False):
-        p = sub.add_parser(name, help=summary)
+    for name, (summary, levels, tol) in COMMANDS.items():
+        used = command not in COMMANDS or command == name
+        p = sub.add_parser(name, help=summary, formatter_class=formatter, add_help=used)
+        if not used:
+            continue
         p.add_argument("--input", required=True, help="path to a JSON input file")
         if levels:
             p.add_argument("--levels", default=None,
@@ -106,13 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="agreement tolerance as an exact rational, e.g. 1/20")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    command("ore", "exact Ore dimension of a Z^d module")
-    command("approx", "all dimension functions side by side", levels=True, tol=True)
-    command("folner", "Foelner truncation table", levels=True)
-    command("vdim", "virtual Ore dimension")
-    command("homology", "homology dimensions of a chain complex", levels=True)
-    command("betti-finite", "Betti numbers of finite quotient groups (Z/n)^d")
     return parser
 
 
@@ -152,8 +171,9 @@ def _run_betti_finite(args) -> List[Record]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if args.command == "approx":
             records, extra = _run_approx(args)

@@ -58,6 +58,18 @@ class GroupRingElement:
         self.terms = clean
 
     @classmethod
+    def from_checked(cls, field: Field, group: Group, terms) -> "GroupRingElement":
+        """The element with ``terms``, whose keys ``group.check_element``
+        returned and whose values are already normalized (by
+        ``field.normalize``, ``field.parse_value`` or field arithmetic).
+        Zeros are dropped; nothing is checked again."""
+        el = cls.__new__(cls)
+        el.field = field
+        el.group = group
+        el.terms = {g: v for g, v in terms.items() if not field.is_zero(v)}
+        return el
+
+    @classmethod
     def zero(cls, field, group):
         return cls(field, group, {})
 
@@ -338,10 +350,15 @@ def restrict_scalars(matrix: GroupRingMatrix, subgroup) -> Tuple[GroupRingMatrix
 
 
 def to_laurent(matrix: GroupRingMatrix) -> LaurentMatrix:
-    """View a matrix over k[Z^d] as a Laurent-polynomial matrix."""
+    """View a matrix over k[Z^d] as a Laurent-polynomial matrix.
+
+    The entries' terms are already checked Z^d elements (d-tuples, the
+    exponent vectors) with nonzero normalized values, so they fill the
+    Laurent matrix as they are, without its constructor's checks."""
     group = matrix.group
     if not isinstance(group, Zd):
         raise UnsupportedOperationError(
             f"Laurent form needs a Z^d group ring, got {group!r}")
-    entries = {key: dict(el.terms) for key, el in matrix.entries.items()}
-    return LaurentMatrix(matrix.field, group.d, matrix.nrows, matrix.ncols, entries)
+    out = LaurentMatrix(matrix.field, group.d, matrix.nrows, matrix.ncols)
+    out.entries = {key: dict(el.terms) for key, el in matrix.entries.items()}
+    return out

@@ -82,7 +82,8 @@ encode_group = group_to_json
 def decode_element(group: Group, obj, path):
     arr = _expect_array(obj, path)
     for k, x in enumerate(arr):
-        _expect_int(x, f"{path}[{k}]")
+        if type(x) is not int:
+            _expect_int(x, f"{path}[{k}]")
     try:
         return group.check_element(tuple(arr))
     except ValueError as exc:
@@ -119,11 +120,11 @@ def decode_matrix(obj, path="") -> GroupRingMatrix:
             term = _expect_object(term, tpath)
             g = decode_element(group, _get(term, "g", tpath), f"{tpath}.g")
             coeff = decode_scalar(field, _get(term, "coeff", tpath), f"{tpath}.coeff")
-            terms[g] = terms.get(g, 0) + coeff
+            terms[g] = field.add(terms[g], coeff) if g in terms else coeff
         key = (i, j)
         if key in entries:
             raise SchemaError(epath, f"duplicate entry at position ({i},{j})")
-        entries[key] = GroupRingElement(field, group, terms)
+        entries[key] = GroupRingElement.from_checked(field, group, terms)
     return GroupRingMatrix(field, group, rows, cols, entries)
 
 

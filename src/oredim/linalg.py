@@ -773,7 +773,10 @@ def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0) -> RankReport:
 
     Over Q the points are integers and the powers of the cleared exponents
     exact, so a matrix whose largest such power would pass
-    Q_POWER_BITS_LIMIT bits is refused.
+    Q_POWER_BITS_LIMIT bits is refused.  Each row is also scaled, once, by
+    the lcm of its denominators, a nonzero integer that changes no trial's
+    rank; a trial then sums plain ints, which ``rank_sparse`` takes as
+    exact rationals.
     """
     r, s = m.nrows, m.ncols
     if r == 0 or s == 0 or not m.entries:
@@ -814,21 +817,28 @@ def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0) -> RankReport:
             values[cells] = np.add.reduceat(coeffs * vals[term_monos] % p, starts) % p
             return _rank_dense_modp(values.reshape(r, s * e), p, cpow)
     else:
-        cleared = {(i, j): [(tuple(map(operator.add, exp, shifts[i])), v)
-                            for exp, v in poly.items()]
-                   for (i, j), poly in m.entries.items()}
         bits = max(row_degrees) * target.bit_length()
         if bits > Q_POWER_BITS_LIMIT:
             raise UnsupportedOperationError(
                 f"evaluating this matrix over Q needs powers of about {bits} bits, "
                 f"beyond the limit of {Q_POWER_BITS_LIMIT}")
         sample_size = target
+        lcms = [1] * r
+        for (i, _), poly in m.entries.items():
+            lcms[i] = math.lcm(lcms[i], *(v.denominator for v in poly.values()))
+        cleared = {(i, j): [(tuple(map(operator.add, exp, shifts[i])),
+                             v.numerator * (lcms[i] // v.denominator))
+                            for exp, v in poly.items()]
+                   for (i, j), poly in m.entries.items()}
 
         def trial(rng):
             point = [rng.randrange(1, target + 1) for _ in range(m.nvars)]
-            values = {k: sum(v * math.prod(map(pow, point, exp)) for exp, v in terms)
-                      for k, terms in cleared.items()}
-            return rank_plain(PlainMatrix(m.field, r, s, values))
+            evaluated = PlainMatrix(m.field, r, s)
+            for k, terms in cleared.items():
+                value = sum(c * math.prod(map(pow, point, exp)) for exp, c in terms)
+                if value:
+                    evaluated.entries[k] = value
+            return rank_plain(evaluated)
     best = 0
     for k in range(PROBABILISTIC_TRIALS):
         best = max(best, trial(random.Random(seed * 1_000_003 + k + 1)))

@@ -292,6 +292,51 @@ def test_each_subcommand_accepts_only_its_options():
             assert ok == (option in accepted), (command, option)
 
 
+def _parse(parser, argv, capsys):
+    """(namespace or exit code, stdout, stderr) of one parse_args call."""
+    try:
+        result = parser.parse_args(argv)
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", sorted(ACCEPTED))
+def test_parser_for_one_command_matches_full_parser(command, capsys):
+    # build_parser(command) gives only that subparser its options; on every
+    # argv starting with the command it must behave as the full parser.
+    one, full = cli.build_parser(command), cli.build_parser()
+    base = [command, "--input", "in.json"]
+    every = base + [x for o in sorted(ACCEPTED[command]) for x in (o, OPTION_VALUES[o])]
+    cases = [base, every, [command, "--help"], ["--help"], [command], []]
+    cases += [base + [option, value] for option, value in OPTION_VALUES.items()]
+    for argv in cases:
+        got, want = _parse(one, argv, capsys), _parse(full, argv, capsys)
+        assert got == want, argv
+
+
+@pytest.mark.parametrize("columns", ["50", "120"])
+def test_help_width_is_the_terminal_width(columns, monkeypatch):
+    # build_parser reads the width once; the help must wrap as argparse's
+    # own formatter, which reads it per call, would wrap it.
+    monkeypatch.setenv("COLUMNS", columns)
+    parser = cli.build_parser("approx")
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for p in (parser, sub.choices["approx"]):
+        text = p.format_help()
+        p.formatter_class = argparse.HelpFormatter
+        assert text == p.format_help()
+
+
+def test_main_reads_sys_argv(z_module_path, capsys, monkeypatch):
+    argv = ["ore", "--input", z_module_path, "--format", "json"]
+    expected = run(capsys, argv)
+    monkeypatch.setattr("sys.argv", ["oredim"] + argv)
+    assert run(capsys, None) == expected
+    assert expected[0] == 0 and '"method": "ore"' in expected[1]
+
+
 @pytest.mark.parametrize("option", [["--tol", "1/2"], ["--levels", "2"],
                                     ["--rank-alg", "auto"]], ids=lambda o: o[0])
 def test_ore_rejects_options_it_does_not_read(z_module_path, capsys, option):

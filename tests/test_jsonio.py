@@ -1,11 +1,18 @@
+import random
+from fractions import Fraction
+
 import pytest
 
+from helpers import random_element
 from oredim.chains import build_koszul
 from oredim.errors import SchemaError
 from oredim.fields import PrimeField, Rationals
+from oredim.groupring import GroupRingElement, GroupRingMatrix, to_laurent
+from oredim.groups import DihedralInfinite, Heisenberg, Zd
 from oredim.jsonio import (decode_complex, decode_field, decode_group,
                            decode_matrix, encode_complex, encode_field,
-                           parse_fraction)
+                           encode_group, parse_fraction)
+from oredim.linalg import LaurentMatrix
 
 
 def minimal_matrix(**overrides):
@@ -50,6 +57,79 @@ def test_element_arity_error_names_path():
     with pytest.raises(SchemaError, match=r"entries\[0\].terms\[0\].g"):
         decode_matrix(minimal_matrix(entries=[
             {"row": 0, "col": 0, "terms": [{"coeff": 1, "g": [1, 2]}]}]))
+
+
+@pytest.mark.parametrize("group,g,path", [
+    (Zd(1), [True], r"entries\[0\].terms\[0\].g\[0\]"),
+    (Zd(2), [0, 1.5], r"entries\[0\].terms\[0\].g\[1\]"),
+    (Zd(1), ["1"], r"entries\[0\].terms\[0\].g\[0\]"),
+    (Zd(1), 1, r"entries\[0\].terms\[0\].g: expected an array"),
+    (DihedralInfinite(), [0, 2], r"entries\[0\].terms\[0\].g: not an infinite"),
+    (Heisenberg(), [0, 0], r"entries\[0\].terms\[0\].g: not a Heisenberg"),
+], ids=("bool", "float", "string", "scalar", "dinf-s", "heis-arity"))
+def test_malformed_element_names_path(group, g, path):
+    with pytest.raises(SchemaError, match=path):
+        decode_matrix(minimal_matrix(group=encode_group(group), entries=[
+            {"row": 0, "col": 0, "terms": [{"coeff": 1, "g": g}]}]))
+
+
+def _random_payload(rng, field, group, nrows=3, ncols=3):
+    """A wire-format matrix whose entries repeat group elements: some
+    repeats add up, and some cancel a term exactly."""
+    entries, expected = [], {}
+    for i in range(nrows):
+        for j in range(ncols):
+            if rng.random() < 0.3:
+                continue
+            terms, raw = [], {}
+            for _ in range(rng.randrange(1, 6)):
+                g = random_element(rng, group, span=1)
+                if isinstance(field, PrimeField):
+                    c = rng.randint(-2 * field.p, 2 * field.p)
+                    wire = c
+                else:
+                    c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                    wire = f"{c.numerator}/{c.denominator}"
+                terms.append((g, wire, c))
+                if rng.random() < 0.3:
+                    cancel = -c if isinstance(field, Rationals) else field.p - c
+                    wire = (cancel if isinstance(field, PrimeField)
+                            else f"{cancel.numerator}/{cancel.denominator}")
+                    terms.append((g, wire, cancel))
+            rng.shuffle(terms)
+            for g, _, c in terms:
+                raw[g] = raw.get(g, 0) + c
+            expected[(i, j)] = GroupRingElement(field, group, raw)
+            entries.append({"row": i, "col": j,
+                            "terms": [{"coeff": w, "g": list(g)} for g, w, _ in terms]})
+    payload = {"group": encode_group(group), "field": encode_field(field),
+               "rows": nrows, "cols": ncols, "entries": entries}
+    return payload, GroupRingMatrix(field, group, nrows, ncols, expected)
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), Rationals()],
+                         ids=repr)
+@pytest.mark.parametrize("group", [Zd(1), Zd(3), DihedralInfinite(), Heisenberg()],
+                         ids=repr)
+def test_decoded_matrix_equals_validating_constructors(field, group):
+    # decode_matrix checks each term once and builds its elements without
+    # the constructors' checks; the result must be what they would build.
+    rng = random.Random(1313)
+    value_type = Fraction if isinstance(field, Rationals) else int
+    for _ in range(25):
+        payload, expected = _random_payload(rng, field, group)
+        decoded = decode_matrix(payload)
+        assert decoded == expected
+        for el in decoded.entries.values():
+            assert el.terms and all(type(v) is value_type and v == field.normalize(v)
+                                    for v in el.terms.values())
+        if isinstance(group, Zd):
+            laurent = to_laurent(decoded)
+            reference = LaurentMatrix(field, group.d, decoded.nrows, decoded.ncols,
+                                      {k: el.terms for k, el in expected.entries.items()})
+            assert (laurent.field, laurent.nvars, laurent.nrows, laurent.ncols) == \
+                (field, group.d, decoded.nrows, decoded.ncols)
+            assert laurent.entries == reference.entries
 
 
 def test_term_coefficients_accumulate():
