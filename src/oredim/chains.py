@@ -106,7 +106,7 @@ def ore_homology(complex_: FreeChainComplex, seed: int = 0) -> List[Record]:
     complex over k[Z^d].
 
     Every row carries the complex-wide certification flag: False as soon
-    as one ``rank_laurent`` result is uncertified, i.e. came from
+    as one ``rank_laurent`` result is uncertified, i.e. came from random
     evaluation below full rank.
     """
     if not isinstance(complex_.group, Zd):

@@ -97,6 +97,13 @@ def decode_scalar(field: Field, obj, path):
         raise SchemaError(path, str(exc)) from None
 
 
+def _decode_term(field: Field, group: Group, term, tpath):
+    """A term's group element and coefficient; no path is formatted for None."""
+    term = _expect_object(term, tpath)
+    g = decode_element(group, _get(term, "g", tpath), tpath and f"{tpath}.g")
+    return g, decode_scalar(field, _get(term, "coeff", tpath), tpath and f"{tpath}.coeff")
+
+
 def decode_matrix(obj, path="") -> GroupRingMatrix:
     prefix = f"{path}." if path else ""
     obj = _expect_object(obj, path or "matrix")
@@ -116,10 +123,12 @@ def decode_matrix(obj, path="") -> GroupRingMatrix:
         terms = {}
         for t, term in enumerate(_expect_array(_get(ent, "terms", epath),
                                                f"{epath}.terms")):
-            tpath = f"{epath}.terms[{t}]"
-            term = _expect_object(term, tpath)
-            g = decode_element(group, _get(term, "g", tpath), f"{tpath}.g")
-            coeff = decode_scalar(field, _get(term, "coeff", tpath), f"{tpath}.coeff")
+            try:
+                g, coeff = _decode_term(field, group, term, None)
+            except SchemaError:
+                # decode again, now naming the path, to raise the same error
+                _decode_term(field, group, term, f"{epath}.terms[{t}]")
+                raise
             terms[g] = field.add(terms[g], coeff) if g in terms else coeff
         key = (i, j)
         if key in entries:

@@ -13,22 +13,22 @@ Two matrix flavors:
   ``rank_plain`` sends small or dense F_p matrices to it, and
   ``rank_sparse`` hands it the rest of an F_p elimination once fill-in
   passes 50% of the remaining block.  Its kernel, ``_rank_dense_modp``,
-  is the one dense eliminator, over F_p and F_{p^e}.
+  is the dense eliminator over F_p.
 
 * ``LaurentMatrix`` -- matrices whose entries are Laurent polynomials in d
   commuting variables, i.e. matrices over the rational function field
-  k(t_1..t_d).  ``rank_laurent_bareiss`` certifies the rank by
-  fraction-free elimination (every division is exact by the Bareiss
-  identity, so no rational-function normalization is ever needed).
-  ``rank_laurent_probabilistic`` evaluates the variables at random points
-  of an extension field F_{p^e} (random integers over Q) large enough that
-  the Schwartz-Zippel bound on losing rank is tiny, and reports that bound.
-  Over F_p each trial is ranked over F_{p^e} in place by the dense kernel,
-  each entry a coefficient vector over F_p and each pivot step a
-  fraction-free update through e x e multiplication blocks.
-  ``rank_laurent`` picks between them.
+  k(t_1..t_d).  ``rank_laurent`` answers a matrix with one row or column
+  exactly, certifies the rank on a grid of points when the grid is small,
+  and otherwise calls ``rank_laurent_probabilistic``, which evaluates at
+  random points of an extension field F_{p^e} (random integers over Q)
+  large enough that the Schwartz-Zippel bound on losing rank is tiny, and
+  reports that bound.  Over F_p the points are one stack for
+  ``_rank_stack_modp``: each entry a coefficient vector over F_p, each
+  pivot step a fraction-free update through e x e multiplication blocks.
+  ``rank_laurent_bareiss`` is no route of ``rank_laurent``; the tests keep
+  it as a reference.
 
-Evaluation can only lose rank, so the probabilistic answer is a certified
+Evaluation can only lower the rank, so the probabilistic answer is a certified
 lower bound, certified outright at full rank min(r, s); below that it is
 the true rank except with the reported probability.
 """
@@ -41,7 +41,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -61,14 +61,20 @@ DENSE_ENTRY_LIMIT = 4096
 DENSE_DENSITY_LIMIT = 0.2
 SPARSE_FILL_LIMIT = 0.5
 
-# rank_laurent tries Bareiss on univariate matrices up to 8x8 and drops it
-# once its term products (len(a)*len(b) per poly_mul, len(num)*len(den) per
-# poly_divexact) pass BAREISS_WORK_LIMIT.  The 1,710 Bareiss calls of bench
-# seeds 1-30 peak at 5,637; dense 8x8 ones with exponents in [-5, 5] need
-# 9,456 to 1,132,533 and take seconds over Q.  At about 2 us per product
-# over F_p and 8 us over Q (one thread) a dropped attempt costs <= 140 ms.
-BAREISS_MAX_SHAPE = 8
-BAREISS_WORK_LIMIT = 16384
+# rank_laurent certifies on an evaluation grid when points * r * s *
+# min(r, s) * w is at most GRID_WORK_LIMIT: w = (e + 1)^2 over F_p, where a
+# stacked pivot step applies e x e blocks and gathers e-vectors, and
+# w = GRID_Q_WEIGHT over Q, where each point is one Python-int elimination.
+# On the bench's Laurent matrices (one thread) a unit took 0.6-1.9 ns over
+# F_p and a point * r * s * min(r, s) 50-130 ns over Q, so a grid at the
+# limit costs a few ms.  The univariate matrices up to 8x8 that Bareiss
+# used to certify there need at most 1.1 * 2^20; 16x17 univariate ones
+# over F_2 (17 * 2^20: 9.9 ms against 4.4 ms of trials) stay probabilistic.
+# A stacked call's stack, term products and monomial values hold at most
+# GRID_STACK_CELLS int64 cells, so a grid's peak memory stays near 1 MB.
+GRID_WORK_LIMIT = 1 << 22
+GRID_Q_WEIGHT = 64
+GRID_STACK_CELLS = 1 << 16
 
 SCHWARTZ_ZIPPEL_MARGIN = 64
 PROBABILISTIC_TRIALS = 3
@@ -131,63 +137,77 @@ class PlainMatrix:
         return f"PlainMatrix({self.field!r}, {self.nrows}x{self.ncols}, nnz={self.nnz})"
 
 
-def _rank_dense_modp(a: np.ndarray, p: int, cpow: Optional[np.ndarray] = None) -> int:
-    """Row reduction over F_{p^e}; pivot = first nonzero in the column.
-
-    ``a`` is r x (s*e): cell (i, j) is the coefficient vector
-    a[i, j*e:(j+1)*e] of an element of F_{p^e} = F_p[x]/(f), and ``cpow``
-    is C^0..C^(e-1) for the companion matrix C of f (``_companion_powers``).
-    Without ``cpow``, e = 1: each pivot row is scaled to 1 and clears the
-    rows below.  For e > 1 each step is fraction-free,
-    row_i <- a_rc * row_i - a_ic * row_r, so no inverse in F_{p^e} is
-    needed; both products are e x e multiplication blocks applied by
-    ``_matmul_mod``, and the loop runs once per column of the r x s matrix.
+def _rank_dense_modp(a: np.ndarray, p: int) -> int:
+    """Row reduction over F_p; pivot = first nonzero in the column, the
+    pivot row scaled to 1 and clearing the rows below.
 
     int64 is safe: residues are < 2^31, so products stay below 2^62.
     """
-    e = 1 if cpow is None else cpow.shape[0]
     a = np.asarray(a, dtype=np.int64) % p
     nrows = a.shape[0]
-    if e > 1:
-        a = a.reshape(nrows, a.shape[1] // e, e)
     r = 0
     for c in range(a.shape[1]):
-        if e == 1:
-            pivot = None
-            for i in range(r, nrows):
-                if a[i, c]:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-        else:
-            live = np.flatnonzero(a[r:, c].any(axis=1))
-            if not live.size:
-                continue
-            pivot = r + live[0]
+        pivot = None
+        for i in range(r, nrows):
+            if a[i, c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
         if pivot != r:
             a[[r, pivot]] = a[[pivot, r]]
-        if e == 1:
-            a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-            below = a[r + 1:, c]
-            hit = np.nonzero(below)[0]
-            if hit.size:
-                rows = hit + r + 1
-                a[rows] = (a[rows] - np.outer(a[rows, c], a[r])) % p
-        elif live.size > 1:
-            # live[0] was the pivot; a row swapped into its slot was zero in
-            # column c, so r + live[1:] are the other live rows
-            rows = r + live[1:]
-            tail = a[rows, c + 1:]
-            scale = _multiplication_blocks(a[r, c][None], cpow, p)[0]
-            heads = _multiplication_blocks(a[rows, c], cpow, p)
-            a[rows, c + 1:] = (
-                _matmul_mod(tail, scale.T, p)
-                - _matmul_mod(a[r, c + 1:], heads.transpose(0, 2, 1), p)) % p
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+        below = a[r + 1:, c]
+        hit = np.nonzero(below)[0]
+        if hit.size:
+            rows = hit + r + 1
+            a[rows] = (a[rows] - np.outer(a[rows, c], a[r])) % p
         r += 1
         if r == nrows:
             break
     return r
+
+
+def _rank_stack_modp(a: np.ndarray, p: int, cpow: np.ndarray) -> np.ndarray:
+    """Ranks over F_{p^e} of a stack of matrices, one per slice.
+
+    ``a`` is P x r x (s*e): in slice k, cell (i, j) is the coefficient
+    vector a[k, i, j*e:(j+1)*e] of an element of F_{p^e} = F_p[x]/(f), and
+    ``cpow`` is C^0..C^(e-1) for the companion matrix C of f
+    (``_companion_powers``; e = 1 is F_p itself).  The column loop runs s
+    times for all slices at once.  At column c each slice takes as pivot
+    its first live row that is no pivot row yet, and every other such live
+    row is updated fraction-free, row_i <- a_rc * row_i - a_ic * row_r, so
+    no inverse in F_{p^e} is needed; both products are e x e multiplication
+    blocks applied by ``_matmul_mod``.  Rows are never swapped: a mask per
+    slice marks the pivot rows.
+    """
+    e = cpow.shape[0]
+    a = np.asarray(a, dtype=np.int64) % p
+    npts, nrows = a.shape[:2]
+    a = a.reshape(npts, nrows, -1, e)
+    slices = np.arange(npts)
+    free = np.ones((npts, nrows), dtype=bool)
+    ranks = np.zeros(npts, dtype=np.int64)
+    for c in range(a.shape[2]):
+        live = free & a[:, :, c].any(axis=2)
+        has = live.any(axis=1)
+        if not has.any():
+            continue
+        pivot = live.argmax(axis=1)
+        free[slices[has], pivot[has]] = False
+        live[slices, pivot] = False
+        ranks += has
+        k, i = np.nonzero(live)
+        if k.size:
+            scale = _multiplication_blocks(a[slices, pivot, c], cpow, p)[k]
+            heads = _multiplication_blocks(a[k, i, c], cpow, p)
+            a[k, i, c + 1:] = (
+                _matmul_mod(a[k, i, c + 1:], scale.transpose(0, 2, 1), p)
+                - _matmul_mod(a[k, pivot[k], c + 1:], heads.transpose(0, 2, 1), p)) % p
+        if not free.any():
+            break
+    return ranks
 
 
 def rank_dense(m: PlainMatrix) -> int:
@@ -523,15 +543,14 @@ def _clearing_shifts(m: LaurentMatrix):
     return [tuple(-x for x in mins.get(i, zero)) for i in range(m.nrows)]
 
 
-def rank_laurent_bareiss(m: LaurentMatrix, *, _work_limit=None) -> Optional[int]:
+def rank_laurent_bareiss(m: LaurentMatrix) -> int:
     """Certified rank over k(t_1..t_d) by fraction-free elimination.
 
     Each row is first divided by its least monomial (units do not change
     rank), which leaves no negative exponent.  The one-step Bareiss
     recurrence then keeps every entry a minor of the cleared matrix, so
     the division by the previous pivot is exact; columns with no pivot are skipped, rows
-    are swapped to the first nonzero candidate.  ``rank_laurent`` alone
-    passes ``_work_limit``: None comes back once term products pass it.
+    are swapped to the first nonzero candidate.
     """
     field = m.field
     shifts = _clearing_shifts(m)
@@ -542,7 +561,6 @@ def rank_laurent_bareiss(m: LaurentMatrix, *, _work_limit=None) -> Optional[int]
             row = [poly_monomial_shift(p, shifts[i]) for p in row]
         grid.append(row)
     prev: Poly = {(0,) * m.nvars: field.one}
-    work = 0
     rank = 0
     pr = 0
     for pc in range(m.ncols):
@@ -560,14 +578,9 @@ def rank_laurent_bareiss(m: LaurentMatrix, *, _work_limit=None) -> Optional[int]
             head = grid[i][pc]
             for j in range(pc + 1, m.ncols):
                 num = poly_mul(pv, grid[i][j], field)
-                work += len(pv) * len(grid[i][j])
                 if head:
                     num = poly_sub(num, poly_mul(head, grid[pr][j], field), field)
-                    work += len(head) * len(grid[pr][j])
-                work += len(num) * len(prev)
                 grid[i][j] = poly_divexact(num, prev, field)
-                if _work_limit is not None and work > _work_limit:
-                    return None
             grid[i][pc] = {}
         prev = pv
         rank += 1
@@ -688,11 +701,15 @@ def _multiplication_blocks(vals: np.ndarray, cpow: np.ndarray, p: int) -> np.nda
 
 def _matrix_powers(a: np.ndarray, exps, p: int) -> np.ndarray:
     """a^n mod p for each n in ``exps`` (nonnegative ints), by binary
-    powering shared across the exponents."""
-    out = np.tile(np.eye(a.shape[0], dtype=np.int64), (len(exps), 1, 1))
+    powering shared across the exponents.  ``a`` may be a stack (..., e, e);
+    the powers of each matrix come out along a new axis before the last
+    two, (..., len(exps), e, e)."""
+    e = a.shape[-1]
+    out = np.tile(np.eye(e, dtype=np.int64), a.shape[:-2] + (len(exps), 1, 1))
+    a = a[..., None, :, :]
     for bit in range(max(exps).bit_length()):
         hit = np.array([n >> bit & 1 for n in exps], dtype=bool)
-        out[hit] = _matmul_mod(out[hit], a, p)
+        out[..., hit, :, :] = _matmul_mod(out[..., hit, :, :], a, p)
         a = _matmul_mod(a, a, p)
     return out
 
@@ -734,6 +751,55 @@ def _cleared_terms(m: LaurentMatrix, shifts):
             np.array(term_monos), per_var)
 
 
+def _evaluate_stack(m: LaurentMatrix, terms, xs: np.ndarray, p: int,
+                    cpow: np.ndarray) -> np.ndarray:
+    """The matrix of ``terms`` (``_cleared_terms`` of ``m``) at a stack of
+    points of F_{p^e}, as the P x r x (s*e) array ``_rank_stack_modp``
+    takes.  ``xs`` is d x P x e: point j has t_k = xs[k, j].
+
+    Every distinct monomial is evaluated once per point, through binary
+    powers of each coordinate's multiplication block, and the terms of
+    each entry are reduced mod p before they are summed.
+    """
+    cells, starts, coeffs, term_monos, per_var = terms
+    e = cpow.shape[0]
+    npts = xs.shape[1]
+    vals = np.zeros((npts, len(per_var[0][1]), e), dtype=np.int64)
+    vals[..., 0] = 1
+    for values, (exps, where) in zip(xs, per_var):
+        powers = _matrix_powers(_multiplication_blocks(values, cpow, p), exps, p)
+        vals = _matmul_mod(powers[:, where], vals[..., None], p)[..., 0]
+    products = vals[:, term_monos]
+    products *= coeffs
+    products %= p
+    out = np.zeros((npts, m.nrows * m.ncols, e), dtype=np.int64)
+    out[:, cells] = np.add.reduceat(products, starts, axis=1) % p
+    return out.reshape(npts, m.nrows, m.ncols * e)
+
+
+def _integer_rows(m: LaurentMatrix, shifts):
+    """Over Q: each row's terms with the row scaled by its monomial in
+    ``shifts`` and by the lcm of its denominators, a nonzero integer; so
+    every coefficient is an int.  Maps each cell to [(exponent, int)]."""
+    lcms = [1] * m.nrows
+    for (i, _), poly in m.entries.items():
+        lcms[i] = math.lcm(lcms[i], *(v.denominator for v in poly.values()))
+    return {(i, j): [(tuple(map(operator.add, exp, shifts[i])),
+                      v.numerator * (lcms[i] // v.denominator))
+                     for exp, v in poly.items()]
+            for (i, j), poly in m.entries.items()}
+
+
+def _rank_at_integers(m: LaurentMatrix, cleared, point) -> int:
+    """Rank over Q of the ``_integer_rows`` matrix at an integer point."""
+    evaluated = PlainMatrix(m.field, m.nrows, m.ncols)
+    for k, terms in cleared.items():
+        value = sum(c * math.prod(map(pow, point, exp)) for exp, c in terms)
+        if value:
+            evaluated.entries[k] = value
+    return rank_plain(evaluated)
+
+
 @dataclass(frozen=True)
 class RankReport:
     """Outcome of a Laurent rank computation.
@@ -766,10 +832,9 @@ def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0) -> RankReport:
     matrix is then constant and is ranked exactly.
 
     Over F_p the points lie in F_{p^e}, e the least degree with
-    p^e - 1 >= 64*D (e = 1 when p is large enough).  A trial evaluates
-    every monomial once, as a coefficient vector over F_p, sums the terms
-    of each entry, and hands the r x (s*e) array of entries to the dense
-    kernel, which ranks it over F_{p^e}.
+    p^e - 1 >= 64*D (e = 1 when p is large enough).  The three trials are
+    one stack: ``_evaluate_stack`` evaluates the matrix at the three
+    points and ``_rank_stack_modp`` ranks the three slices over F_{p^e}.
 
     Over Q the points are integers and the powers of the cleared exponents
     exact, so a matrix whose largest such power would pass
@@ -792,30 +857,19 @@ def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0) -> RankReport:
                             {k: next(iter(p.values())) for k, p in m.entries.items()})
         return RankReport(rank_plain(const), True, Fraction(0))
     target = SCHWARTZ_ZIPPEL_MARGIN * degree_bound
+    rngs = [random.Random(seed * 1_000_003 + k + 1) for k in range(PROBABILISTIC_TRIALS)]
     if isinstance(m.field, PrimeField):
         p = m.field.p
-        e = 1
-        while p ** e - 1 < target:
-            e += 1
+        e = next(k for k in itertools.count(1) if p ** k > target)
         if e > 16:
             raise UnsupportedOperationError(
                 f"extension degree {e} beyond the supported table (p={p})")
         sample_size = p ** e - 1
         cpow = _companion_powers(p, e)
-        cells, starts, coeffs, term_monos, per_var = _cleared_terms(m, shifts)
-
-        def trial(rng):
-            point = [_random_nonzero(rng, p, e) for _ in range(m.nvars)]
-            # every distinct monomial at the point, as a vector over F_p
-            vals = np.zeros((len(per_var[0][1]), e), dtype=np.int64)
-            vals[:, 0] = 1
-            for digits, (exps, where) in zip(point, per_var):
-                x = _multiplication_blocks(np.array([digits]), cpow, p)[0]
-                vals = _matmul_mod(_matrix_powers(x, exps, p)[where],
-                                   vals[:, :, None], p)[:, :, 0]
-            values = np.zeros((r * s, e), dtype=np.int64)
-            values[cells] = np.add.reduceat(coeffs * vals[term_monos] % p, starts) % p
-            return _rank_dense_modp(values.reshape(r, s * e), p, cpow)
+        points = [[_random_nonzero(rng, p, e) for _ in range(m.nvars)] for rng in rngs]
+        xs = np.array(points).transpose(1, 0, 2)
+        stack = _evaluate_stack(m, _cleared_terms(m, shifts), xs, p, cpow)
+        best = int(_rank_stack_modp(stack, p, cpow).max())
     else:
         bits = max(row_degrees) * target.bit_length()
         if bits > Q_POWER_BITS_LIMIT:
@@ -823,41 +877,76 @@ def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0) -> RankReport:
                 f"evaluating this matrix over Q needs powers of about {bits} bits, "
                 f"beyond the limit of {Q_POWER_BITS_LIMIT}")
         sample_size = target
-        lcms = [1] * r
-        for (i, _), poly in m.entries.items():
-            lcms[i] = math.lcm(lcms[i], *(v.denominator for v in poly.values()))
-        cleared = {(i, j): [(tuple(map(operator.add, exp, shifts[i])),
-                             v.numerator * (lcms[i] // v.denominator))
-                            for exp, v in poly.items()]
-                   for (i, j), poly in m.entries.items()}
-
-        def trial(rng):
+        cleared = _integer_rows(m, shifts)
+        best = 0
+        for rng in rngs:
             point = [rng.randrange(1, target + 1) for _ in range(m.nvars)]
-            evaluated = PlainMatrix(m.field, r, s)
-            for k, terms in cleared.items():
-                value = sum(c * math.prod(map(pow, point, exp)) for exp, c in terms)
-                if value:
-                    evaluated.entries[k] = value
-            return rank_plain(evaluated)
-    best = 0
-    for k in range(PROBABILISTIC_TRIALS):
-        best = max(best, trial(random.Random(seed * 1_000_003 + k + 1)))
-        if best == min(r, s):
-            return RankReport(best, True, Fraction(0))
+            best = max(best, _rank_at_integers(m, cleared, point))
+            if best == min(r, s):
+                break
+    if best == min(r, s):
+        return RankReport(best, True, Fraction(0))
     bound = Fraction(degree_bound, sample_size) ** PROBABILISTIC_TRIALS
     return RankReport(best, False, min(bound, Fraction(1)))
 
 
 def rank_laurent(m: LaurentMatrix, seed: int = 0) -> RankReport:
-    """Rank over k(t_1..t_d).
+    """Rank over k(t_1..t_d), certified on a grid when the grid is small.
 
-    Univariate matrices up to BAREISS_MAX_SHAPE x BAREISS_MAX_SHAPE are
-    certified by Bareiss unless the elimination passes BAREISS_WORK_LIMIT
-    term products; those, and all others (fraction-free coefficient growth
-    is severe in two or more variables), are evaluated at random points.
+    A matrix with one row or one column has rank 1 if it has an entry and
+    0 if not: a nonzero Laurent polynomial is a unit of k(t_1..t_d).
+
+    Otherwise each row is divided by its least monomial, and D_k is the sum
+    of the min(r, s) largest row degrees in t_k of the cleared matrix, so
+    every minor has degree at most D_k in t_k.  A polynomial with these
+    degree bounds that vanishes on a grid S_1 x .. x S_d with
+    |S_k| = D_k + 1 is zero (Alon, Combinatorial Nullstellensatz, Combin.
+    Probab. Comput. 8, 1999, Lemma 2.1; for one variable, a polynomial of
+    degree D has at most D roots).  Evaluation can only lower the rank, so
+    the largest rank over the grid is the rank, certified; the scan stops
+    once a point reaches min(r, s).  Over F_p the points of S_k are the
+    digit vectors of 0..D_k in F_{p^e}, e the least with p^e > max D_k,
+    ranked in stacks of up to GRID_STACK_CELLS cells; over Q they are the
+    integers 0..D_k, ranked one by one.  A grid past GRID_WORK_LIMIT goes
+    to ``rank_laurent_probabilistic`` instead.
     """
-    if m.nvars <= 1 and max(m.nrows, m.ncols) <= BAREISS_MAX_SHAPE:
-        rank = rank_laurent_bareiss(m, _work_limit=BAREISS_WORK_LIMIT)
-        if rank is not None:
-            return RankReport(rank, True, Fraction(0))
-    return rank_laurent_probabilistic(m, seed)
+    r, s = m.nrows, m.ncols
+    if min(r, s) <= 1 or not m.entries:
+        return RankReport(int(bool(m.entries)), True, Fraction(0))
+    shifts = _clearing_shifts(m)
+    tops = {}
+    for (i, _), poly in m.entries.items():
+        tops[i] = tuple(map(max, tops.get(i, next(iter(poly))), *poly))
+    sizes = [1 + sum(sorted(col, reverse=True)[:min(r, s)])
+             for col in zip(*(map(operator.add, top, shifts[i]) for i, top in tops.items()))]
+    modp = isinstance(m.field, PrimeField)
+    e = 1
+    while modp and m.field.p ** e < max(sizes, default=1):
+        e += 1
+    work = math.prod(sizes) * r * s * min(r, s) * ((e + 1) ** 2 if modp else GRID_Q_WEIGHT)
+    if max(sizes, default=1) == 1 or work > GRID_WORK_LIMIT:
+        # past the budget, or constant once cleared, which the trials rank exactly
+        return rank_laurent_probabilistic(m, seed)
+    if modp:
+        p = m.field.p
+        cpow = _companion_powers(p, e)
+        terms = _cleared_terms(m, shifts)
+        digits = np.array([[j // p ** l % p for l in range(e)] for j in range(max(sizes))])
+        # cells per point: stack slice, term products and monomial values
+        term_monos, per_var = terms[3:]
+        step = max(1, GRID_STACK_CELLS // ((r * s + len(term_monos) + len(per_var[0][1]) * e) * e))
+
+        def rank_chunk(chunk):
+            stack = _evaluate_stack(m, terms, digits[np.array(chunk).T], p, cpow)
+            return int(_rank_stack_modp(stack, p, cpow).max())
+    else:
+        cleared = _integer_rows(m, shifts)
+        step = 1
+
+        def rank_chunk(chunk):
+            return _rank_at_integers(m, cleared, chunk[0])
+    points = itertools.product(*map(range, sizes))
+    rank = 0
+    while rank < min(r, s) and (chunk := list(itertools.islice(points, step))):
+        rank = max(rank, rank_chunk(chunk))
+    return RankReport(rank, True, Fraction(0))

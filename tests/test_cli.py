@@ -353,7 +353,7 @@ def test_ore_rejects_options_it_does_not_read(z_module_path, capsys, option):
 def test_ore_huge_degree_needs_no_lex_search(tmp_path, capsys, d, terms):
     # the trial points lie in F_{p^4}, p = 1000003 = 3 (mod 4), where no
     # x^4 + c is irreducible; lex order alone tested a million candidates.
-    # rank_laurent ranks a univariate 1x1 by Bareiss, so that case calls
+    # rank_laurent answers any 1x1 exactly, so the univariate case calls
     # the evaluation directly.
     from oredim import linalg
 
@@ -374,13 +374,23 @@ def test_ore_huge_degree_needs_no_lex_search(tmp_path, capsys, d, terms):
 
 
 def test_ore_q_degree_too_large_to_evaluate_exits_3(tmp_path, capsys):
-    # a trial over Q would raise integers near 6.4e7 to the 10^6-th power
+    # a 2x2 whose grid would need 10^6 + 1 points in x goes to the trials,
+    # which would raise integers near 6.4e7 to the 10^6-th power
     field = Rationals()
-    matrix = GroupRingMatrix(field, Zd(2), 1, 1, {
-        (0, 0): GroupRingElement(field, Zd(2), {(10**6, 0): 1, (0, 1): 1})})
+    big = GroupRingElement(field, Zd(2), {(10**6, 0): 1, (0, 1): 1})
+    y = GroupRingElement(field, Zd(2), {(0, 1): 1})
+    one = GroupRingElement(field, Zd(2), {(0, 0): 1})
+    matrix = GroupRingMatrix(field, Zd(2), 2, 2, {(0, 0): big, (0, 1): one,
+                                                  (1, 0): one, (1, 1): y})
     path = write_json(tmp_path / "qhuge.json", encode_matrix(matrix))
     start = time.perf_counter()
     code, out, err = run(capsys, ["ore", "--input", path])
     assert time.perf_counter() - start < 2
     assert code == 3 and out == ""
     assert "26000000 bits" in err
+    # the same entry as a 1x1 is a unit of Q(x, y): rank 1, certified
+    single = GroupRingMatrix(field, Zd(2), 1, 1, {(0, 0): big})
+    path = write_json(tmp_path / "qsingle.json", encode_matrix(single))
+    code, out, _ = run(capsys, ["ore", "--input", path])
+    assert code == 0
+    assert out.splitlines()[1] == "ore,0,1,0,0/1,true"

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -12,10 +13,10 @@ from helpers import (cleared_minor_degree, first_irreducible, oracle_laurent_ran
 from oredim import linalg
 from oredim.errors import UnsupportedOperationError
 from oredim.fields import PrimeField, Rationals
-from oredim.linalg import (LaurentMatrix, PlainMatrix, poly_add, poly_divexact,
-                           poly_monomial_shift, poly_mul, rank_dense, rank_laurent,
-                           rank_laurent_bareiss, rank_laurent_probabilistic,
-                           rank_plain, rank_sparse)
+from oredim.linalg import (LaurentMatrix, PlainMatrix, RankReport, poly_add,
+                           poly_divexact, poly_monomial_shift, poly_mul, rank_dense,
+                           rank_laurent, rank_laurent_bareiss,
+                           rank_laurent_probabilistic, rank_plain, rank_sparse)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -195,11 +196,38 @@ def test_rank_dense_over_extension_matches_realified_oracle(p, e):
     for cells in cases:
         a = np.array([[x for cell in row for x in cell] for row in cells], dtype=np.int64)
         before = a.copy()
-        rank = linalg._rank_dense_modp(a, p, cpow)
+        rank = int(linalg._rank_stack_modp(a[None], p, cpow)[0])
         assert rank == oracle_rank_ext(cells, modulus, p)
         assert (a == before).all()
         ranks.append(rank)
     assert ranks == [3, 2, 5, 1, 3, 3, 0]
+
+
+# (2^31-1, 3) takes the split path of _matmul_mod: 3 (p-1)^2 >= 2^63
+@pytest.mark.parametrize("p,e", [(3, 1), (2**31 - 1, 1), (2, 5), (1000003, 2),
+                                 (2**31 - 1, 3)])
+def test_rank_stack_matches_dense_kernel_slice_by_slice(p, e):
+    # slice k of the stack is a 6 x k times k x 7 product over F_{p^e}, so
+    # each slice has its own rank.  Each is checked against the F_p kernel
+    # on its realified matrix, whose rank is e times the rank over F_{p^e}.
+    modulus = linalg._find_irreducible(p, e)
+    cpow = linalg._companion_powers(p, e)
+    rng = random.Random(p * 37 + e)
+
+    def rand(nrows, ncols):
+        return [[[rng.randrange(p) for _ in range(e)] for _ in range(ncols)]
+                for _ in range(nrows)]
+
+    cells = [[[[0] * e] * 7] * 6] + [_ext_product(rand(6, k), rand(k, 7), modulus, p)
+                                     for k in range(1, 7)]
+    stack = np.array([[[x for cell in row for x in cell] for row in m] for m in cells],
+                     dtype=np.int64)
+    ranks = linalg._rank_stack_modp(stack, p, cpow)
+    for a, rank in zip(stack, ranks):
+        blocks = linalg._multiplication_blocks(a.reshape(-1, e), cpow, p)
+        realified = blocks.reshape(6, 7, e, e).transpose(0, 2, 1, 3).reshape(6 * e, 7 * e)
+        assert linalg._rank_dense_modp(realified, p) == e * rank
+    assert ranks.tolist() == list(range(7))
 
 
 # -- sparse ranks -------------------------------------------------------------
@@ -645,9 +673,9 @@ def test_probabilistic_huge_exponents_at_largest_prime():
 
 def test_probabilistic_ranks_trials_over_the_extension_in_place(monkeypatch):
     # a bench-shaped 24x25 matrix over F_2 in two variables whose last four
-    # rows repeat the first four: each trial hands the dense kernel the
-    # 24 x (25 e) array of F_{2^e} coefficient vectors, not the 24e x 25e
-    # matrix of its e x e multiplication blocks
+    # rows repeat the first four: the three trials are one stack of 24 x
+    # (25 e) arrays of F_{2^e} coefficient vectors, not 24e x 25e matrices
+    # of their e x e multiplication blocks
     rng = random.Random(151)
     top = random_laurent(rng, F2, 2, 20, 25).entries
     m = LaurentMatrix(F2, 2, 24, 25, {**top, **{(i + 20, j): poly for (i, j), poly
@@ -655,14 +683,13 @@ def test_probabilistic_ranks_trials_over_the_extension_in_place(monkeypatch):
     want = rank_laurent_probabilistic(m, seed=5)
     assert want.rank == 20 and not want.certified
     shapes = []
-    real = linalg._rank_dense_modp
-    monkeypatch.setattr(linalg, "_rank_dense_modp",
-                        lambda a, p, cpow=None: shapes.append(
-                            (a.shape, None if cpow is None else cpow.shape[0]))
+    real = linalg._rank_stack_modp
+    monkeypatch.setattr(linalg, "_rank_stack_modp",
+                        lambda a, p, cpow: shapes.append((a.shape, cpow.shape[0]))
                         or real(a, p, cpow))
     assert rank_laurent_probabilistic(m, seed=5) == want
     e = shapes[0][1]
-    assert e > 1 and shapes == [((24, 25 * e), e)] * linalg.PROBABILISTIC_TRIALS
+    assert e > 1 and shapes == [((linalg.PROBABILISTIC_TRIALS, 24, 25 * e), e)]
 
 
 def test_probabilistic_rational_field():
@@ -798,9 +825,10 @@ def univariate(field, grid):
                           for j, q in enumerate(row) if q})
 
 
-def test_rank_laurent_gives_up_on_dense_bareiss():
+def test_rank_laurent_certifies_dense_8x8_on_the_grid():
     # a dense 8x8 of rank 7 over Q with exponents in [-5, 5]: uncapped
-    # Bareiss takes about 3 s on it, evaluation about 0.03 s
+    # Bareiss takes about 3 s on it; its grid of at most 81 integer points
+    # fits the budget and certifies the rank
     rng = random.Random(151)
     coeffs = [c for c in range(-9, 10) if c]
     u = [[{(e,): rng.choice(coeffs) for e in range(-3, 3)} for _ in range(7)]
@@ -811,16 +839,17 @@ def test_rank_laurent_gives_up_on_dense_bareiss():
     start = time.perf_counter()
     report = rank_laurent(m)
     assert time.perf_counter() - start < 1
-    assert report.rank == 7 and not report.certified
-    assert report == rank_laurent_probabilistic(m)
+    assert report.rank == 7 and report.certified and report.failure_bound == 0
+    trials = rank_laurent_probabilistic(m)
+    assert trials.rank == 7 and not trials.certified
 
 
 @pytest.mark.parametrize("field", [F3, PrimeField(1000003), Q], ids=("F_3", "F_1000003", "Q"))
 def test_rank_laurent_certifies_sparse_udv(field):
     # U.D.V as the bench builds it: U and V are monomial-scaled reversals
     # times unitriangular matrices with two units below the diagonal, D
-    # holds six binomials.  Rank 6 of 8 is below full rank, so only a
-    # finished Bareiss elimination certifies it.
+    # holds six binomials.  Rank 6 of 8 is below full rank, so no single
+    # point certifies it; the grid of all points does.
     rng = random.Random(157)
 
     def unit():
@@ -838,6 +867,72 @@ def test_rank_laurent_certifies_sparse_udv(field):
                                       unimodular(8), field))
     report = rank_laurent(m)
     assert report.rank == 6 and report.certified and report.failure_bound == 0
+
+
+def test_rank_laurent_one_row_or_column_is_exact(monkeypatch):
+    # a nonzero Laurent polynomial is a unit of k(t_1..t_d): no evaluation
+    monkeypatch.setattr(linalg, "rank_laurent_probabilistic", None)
+    p = 1000003
+    row = LaurentMatrix(PrimeField(p), 2, 1, 3, {(0, 2): {(10**17, 0): 1, (0, 1): 1}})
+    assert rank_laurent(row) == RankReport(1, True, Fraction(0))
+    assert rank_laurent(row.transpose()) == RankReport(1, True, Fraction(0))
+    assert rank_laurent(LaurentMatrix(Q, 1, 4, 1, {})) == RankReport(0, True, Fraction(0))
+
+
+def falling(field, n, var, nvars):
+    """prod_{j<n} (t_var - j) as a Laurent polynomial in nvars variables."""
+    zero = (0,) * nvars
+    t = tuple(int(k == var) for k in range(nvars))
+    poly = {zero: field.one}
+    for j in range(n):
+        poly = poly_mul(poly, {t: field.one, zero: field.normalize(-j)}, field)
+    return poly
+
+
+@pytest.mark.parametrize("field", [PrimeField(1000003), Q], ids=("F_1000003", "Q"))
+def test_rank_laurent_grid_reaches_its_last_point(field, monkeypatch):
+    # rows (f + 1, 1) and (1, 1) have determinant f.  With f = prod_{j<12}
+    # (t - j) the grid is 0..12 and f vanishes on all of it but 12, the
+    # last point; a grid one point short would certify rank 1
+    one = {(0,): field.one}
+    f = falling(field, 12, 0, 1)
+    m = univariate(field, [[poly_add(f, one, field), one], [one, one]])
+    assert rank_laurent(m) == RankReport(2, True, Fraction(0))
+    # f(x) g(y), g = prod_{j<5} (y - j), vanishes on the 12 x 6 subgrid
+    # x < 12 of the 13 x 6 grid, and on every point with y < 5: only the
+    # last point, (12, 5), has rank 2
+    one = {(0, 0): field.one}
+    fg = poly_mul(falling(field, 12, 0, 2), falling(field, 5, 1, 2), field)
+    m2 = LaurentMatrix(field, 2, 2, 2, {(0, 0): poly_add(fg, one, field), (0, 1): one,
+                                        (1, 0): one, (1, 1): one})
+    assert rank_laurent(m2) == RankReport(2, True, Fraction(0))
+    # one point per stack: the scan still ends at the last point
+    monkeypatch.setattr(linalg, "GRID_STACK_CELLS", 1)
+    assert rank_laurent(m) == rank_laurent(m2) == RankReport(2, True, Fraction(0))
+
+
+@pytest.mark.parametrize("field", [F2, F3, PrimeField(1000003), Q],
+                         ids=("F_2", "F_3", "F_1000003", "Q"))
+def test_rank_laurent_grid_matches_bareiss_and_minors(field):
+    # rank-deficient 4x4 products U V with exponents in [-1, 1]: below full
+    # rank, so only the grid certifies them
+    rng = random.Random(163)
+    for k in range(8):
+        nvars, inner = 1 + k % 2, 1 + k % 3
+        exps = list(itertools.product((-1, 0, 1), repeat=nvars))
+
+        def poly():
+            terms = {e: field.normalize(rng.randint(1, 6)) for e in rng.sample(exps, 2)}
+            return {e: v for e, v in terms.items() if not field.is_zero(v)}
+
+        u = [[poly() for _ in range(inner)] for _ in range(4)]
+        v = [[poly() for _ in range(4)] for _ in range(inner)]
+        m = LaurentMatrix(field, nvars, 4, 4, {(i, j): q for i, row in
+                                               enumerate(poly_matmul(u, v, field))
+                                               for j, q in enumerate(row) if q})
+        report = rank_laurent(m)
+        assert report.certified and report.failure_bound == 0
+        assert report.rank == rank_laurent_bareiss(m) == oracle_laurent_rank(m) <= inner
 
 
 def test_rank_plain_dispatcher():
