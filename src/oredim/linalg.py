@@ -17,16 +17,13 @@ Two matrix flavors:
 
 * ``LaurentMatrix`` -- matrices whose entries are Laurent polynomials in d
   commuting variables, i.e. matrices over the rational function field
-  k(t_1..t_d).  ``rank_laurent`` answers a matrix with one row or column
-  exactly, certifies the rank on a grid of points when the grid is small,
-  and otherwise calls ``rank_laurent_probabilistic``, which evaluates at
-  random points of an extension field F_{p^e} (random integers over Q)
-  large enough that the Schwartz-Zippel bound on losing rank is tiny, and
-  reports that bound.  Over F_p the points are one stack for
-  ``_rank_stack_modp``: each entry a coefficient vector over F_p, each
-  pivot step a fraction-free update through e x e multiplication blocks.
-  ``rank_laurent_bareiss`` is no route of ``rank_laurent``; the tests keep
-  it as a reference.
+  k(t_1..t_d).  ``rank_laurent`` certifies the rank on a grid of points
+  when the grid is small, else by capped Bareiss elimination
+  (``rank_laurent_bareiss``) on small univariate matrices, else calls
+  ``rank_laurent_probabilistic``, which evaluates at random points of an
+  extension field F_{p^e} (random integers over Q) large enough that the
+  Schwartz-Zippel bound on losing rank is tiny, and reports that bound.
+  Over F_p the points are one stack for ``_rank_stack_modp``.
 
 Evaluation can only lower the rank, so the probabilistic answer is a certified
 lower bound, certified outright at full rank min(r, s); below that it is
@@ -41,7 +38,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -61,19 +58,20 @@ DENSE_ENTRY_LIMIT = 4096
 DENSE_DENSITY_LIMIT = 0.2
 SPARSE_FILL_LIMIT = 0.5
 
-# rank_laurent certifies on an evaluation grid when points * r * s *
-# min(r, s) * w is at most GRID_WORK_LIMIT: w = (e + 1)^2 over F_p, where a
-# stacked pivot step applies e x e blocks and gathers e-vectors, and
-# w = GRID_Q_WEIGHT over Q, where each point is one Python-int elimination.
-# On the bench's Laurent matrices (one thread) a unit took 0.6-1.9 ns over
-# F_p and a point * r * s * min(r, s) 50-130 ns over Q, so a grid at the
-# limit costs a few ms.  The univariate matrices up to 8x8 that Bareiss
-# used to certify there need at most 1.1 * 2^20; 16x17 univariate ones
-# over F_2 (17 * 2^20: 9.9 ms against 4.4 ms of trials) stay probabilistic.
-# A stacked call's stack, term products and monomial values hold at most
-# GRID_STACK_CELLS int64 cells, so a grid's peak memory stays near 1 MB.
+# rank_laurent ranks on an evaluation grid when points * (r * s * min(r, s)
+# + GRID_TERM_WEIGHT * terms) * w <= GRID_WORK_LIMIT, w = (e + 1)^2 over F_p
+# and GRID_Q_WEIGHT per started GRID_Q_BITS of the largest power over Q.  A
+# unit took 0.5-2.5 ns (one thread) on the bench's matrices and on dense
+# entries of up to 804 terms, so a grid at the limit costs a few ms.  Past
+# it, univariate matrices up to BAREISS_MAX_SHAPE square try Bareiss, which
+# drops out after BAREISS_WORK_LIMIT term products (at most about 140 ms).
+# A stacked grid call holds at most GRID_STACK_CELLS int64 cells (~1 MB).
 GRID_WORK_LIMIT = 1 << 22
+GRID_TERM_WEIGHT = 16
 GRID_Q_WEIGHT = 64
+GRID_Q_BITS = 512
+BAREISS_MAX_SHAPE = 8
+BAREISS_WORK_LIMIT = 16384
 GRID_STACK_CELLS = 1 << 16
 
 SCHWARTZ_ZIPPEL_MARGIN = 64
@@ -174,13 +172,11 @@ def _rank_stack_modp(a: np.ndarray, p: int, cpow: np.ndarray) -> np.ndarray:
     ``a`` is P x r x (s*e): in slice k, cell (i, j) is the coefficient
     vector a[k, i, j*e:(j+1)*e] of an element of F_{p^e} = F_p[x]/(f), and
     ``cpow`` is C^0..C^(e-1) for the companion matrix C of f
-    (``_companion_powers``; e = 1 is F_p itself).  The column loop runs s
-    times for all slices at once.  At column c each slice takes as pivot
-    its first live row that is no pivot row yet, and every other such live
-    row is updated fraction-free, row_i <- a_rc * row_i - a_ic * row_r, so
-    no inverse in F_{p^e} is needed; both products are e x e multiplication
-    blocks applied by ``_matmul_mod``.  Rows are never swapped: a mask per
-    slice marks the pivot rows.
+    (``_companion_powers``; e = 1 is F_p itself).  One column loop serves
+    all slices.  At column c each slice's pivot is its first live row not
+    yet a pivot row (a mask, no swaps), and every other such live row
+    becomes row_i <- a_rc * row_i - a_ic * row_r: no inverse in F_{p^e},
+    both products e x e multiplication blocks applied by ``_matmul_mod``.
     """
     e = cpow.shape[0]
     a = np.asarray(a, dtype=np.int64) % p
@@ -543,14 +539,15 @@ def _clearing_shifts(m: LaurentMatrix):
     return [tuple(-x for x in mins.get(i, zero)) for i in range(m.nrows)]
 
 
-def rank_laurent_bareiss(m: LaurentMatrix) -> int:
+def rank_laurent_bareiss(m: LaurentMatrix, *, _work_limit=None) -> Optional[int]:
     """Certified rank over k(t_1..t_d) by fraction-free elimination.
 
     Each row is first divided by its least monomial (units do not change
     rank), which leaves no negative exponent.  The one-step Bareiss
     recurrence then keeps every entry a minor of the cleared matrix, so
     the division by the previous pivot is exact; columns with no pivot are skipped, rows
-    are swapped to the first nonzero candidate.
+    are swapped to the first nonzero candidate.  ``rank_laurent`` alone
+    passes ``_work_limit``: None comes back once term products pass it.
     """
     field = m.field
     shifts = _clearing_shifts(m)
@@ -561,6 +558,7 @@ def rank_laurent_bareiss(m: LaurentMatrix) -> int:
             row = [poly_monomial_shift(p, shifts[i]) for p in row]
         grid.append(row)
     prev: Poly = {(0,) * m.nvars: field.one}
+    work = 0
     rank = 0
     pr = 0
     for pc in range(m.ncols):
@@ -578,9 +576,14 @@ def rank_laurent_bareiss(m: LaurentMatrix) -> int:
             head = grid[i][pc]
             for j in range(pc + 1, m.ncols):
                 num = poly_mul(pv, grid[i][j], field)
+                work += len(pv) * len(grid[i][j])
                 if head:
                     num = poly_sub(num, poly_mul(head, grid[pr][j], field), field)
+                    work += len(head) * len(grid[pr][j])
+                work += len(num) * len(prev)
                 grid[i][j] = poly_divexact(num, prev, field)
+                if _work_limit is not None and work > _work_limit:
+                    return None
             grid[i][pc] = {}
         prev = pv
         rank += 1
@@ -595,8 +598,8 @@ def rank_laurent_bareiss(m: LaurentMatrix) -> int:
 # F_{p^e} = F_p[x]/(f) with f = _find_irreducible(p, e), and an element is
 # its coefficient vector (constant term first).  Multiplication by b is the
 # F_p-linear map whose column l is the vector of b * x^l = C^l b, C the
-# companion matrix of f; ``_rank_dense_modp`` applies these e x e blocks to
-# whole rows of a matrix over F_{p^e} at each pivot step.
+# companion matrix of f; ``_rank_stack_modp`` applies these e x e blocks to
+# whole rows of a stack of matrices over F_{p^e} at each pivot step.
 
 def _prime_factors(n: int):
     out = set()
@@ -755,12 +758,9 @@ def _evaluate_stack(m: LaurentMatrix, terms, xs: np.ndarray, p: int,
                     cpow: np.ndarray) -> np.ndarray:
     """The matrix of ``terms`` (``_cleared_terms`` of ``m``) at a stack of
     points of F_{p^e}, as the P x r x (s*e) array ``_rank_stack_modp``
-    takes.  ``xs`` is d x P x e: point j has t_k = xs[k, j].
-
-    Every distinct monomial is evaluated once per point, through binary
-    powers of each coordinate's multiplication block, and the terms of
-    each entry are reduced mod p before they are summed.
-    """
+    takes; ``xs`` is d x P x e, point j has t_k = xs[k, j].  Each distinct
+    monomial is evaluated once per point, through binary powers of each
+    coordinate's multiplication block."""
     cells, starts, coeffs, term_monos, per_var = terms
     e = cpow.shape[0]
     npts = xs.shape[1]
@@ -832,9 +832,7 @@ def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0) -> RankReport:
     matrix is then constant and is ranked exactly.
 
     Over F_p the points lie in F_{p^e}, e the least degree with
-    p^e - 1 >= 64*D (e = 1 when p is large enough).  The three trials are
-    one stack: ``_evaluate_stack`` evaluates the matrix at the three
-    points and ``_rank_stack_modp`` ranks the three slices over F_{p^e}.
+    p^e - 1 >= 64*D, and the three trials are one ``_rank_stack_modp`` stack.
 
     Over Q the points are integers and the powers of the cleared exponents
     exact, so a matrix whose largest such power would pass
@@ -898,17 +896,17 @@ def rank_laurent(m: LaurentMatrix, seed: int = 0) -> RankReport:
 
     Otherwise each row is divided by its least monomial, and D_k is the sum
     of the min(r, s) largest row degrees in t_k of the cleared matrix, so
-    every minor has degree at most D_k in t_k.  A polynomial with these
-    degree bounds that vanishes on a grid S_1 x .. x S_d with
-    |S_k| = D_k + 1 is zero (Alon, Combinatorial Nullstellensatz, Combin.
-    Probab. Comput. 8, 1999, Lemma 2.1; for one variable, a polynomial of
-    degree D has at most D roots).  Evaluation can only lower the rank, so
-    the largest rank over the grid is the rank, certified; the scan stops
-    once a point reaches min(r, s).  Over F_p the points of S_k are the
-    digit vectors of 0..D_k in F_{p^e}, e the least with p^e > max D_k,
-    ranked in stacks of up to GRID_STACK_CELLS cells; over Q they are the
-    integers 0..D_k, ranked one by one.  A grid past GRID_WORK_LIMIT goes
-    to ``rank_laurent_probabilistic`` instead.
+    every minor has degree at most D_k in t_k.  Such a polynomial that
+    vanishes on a grid S_1 x .. x S_d with |S_k| = D_k + 1 is zero (Alon,
+    Combinatorial Nullstellensatz, Combin. Probab. Comput. 8, 1999, Lemma
+    2.1), so the largest rank over the grid is the rank, certified; the
+    scan stops once a point reaches min(r, s).  Over F_p, S_k holds the
+    digit vectors of 0..D_k in the least F_{p^e} with p^e > max D_k, ranked
+    in stacks; over Q, the integers 0..D_k.  The budget (GRID_WORK_LIMIT)
+    counts evaluation as well as elimination.  Past it, a univariate
+    matrix up to BAREISS_MAX_SHAPE square tries capped
+    ``rank_laurent_bareiss``, exact on few terms of high degree; the rest
+    go to ``rank_laurent_probabilistic``.
     """
     r, s = m.nrows, m.ncols
     if min(r, s) <= 1 or not m.entries:
@@ -917,16 +915,24 @@ def rank_laurent(m: LaurentMatrix, seed: int = 0) -> RankReport:
     tops = {}
     for (i, _), poly in m.entries.items():
         tops[i] = tuple(map(max, tops.get(i, next(iter(poly))), *poly))
-    sizes = [1 + sum(sorted(col, reverse=True)[:min(r, s)])
-             for col in zip(*(map(operator.add, top, shifts[i]) for i, top in tops.items()))]
-    modp = isinstance(m.field, PrimeField)
-    e = 1
-    while modp and m.field.p ** e < max(sizes, default=1):
-        e += 1
-    work = math.prod(sizes) * r * s * min(r, s) * ((e + 1) ** 2 if modp else GRID_Q_WEIGHT)
-    if max(sizes, default=1) == 1 or work > GRID_WORK_LIMIT:
-        # past the budget, or constant once cleared, which the trials rank exactly
+    cleared_tops = [tuple(map(operator.add, top, shifts[i])) for i, top in tops.items()]
+    sizes = [1 + sum(sorted(col, reverse=True)[:min(r, s)]) for col in zip(*cleared_tops)]
+    if max(sizes, default=1) == 1:
+        # constant once cleared, which the trials rank exactly
         return rank_laurent_probabilistic(m, seed)
+    modp = isinstance(m.field, PrimeField)
+    e = next(k for k in itertools.count(1) if not modp or m.field.p ** k >= max(sizes))
+    bits = max(map(sum, cleared_tops)) * (max(sizes) - 1).bit_length()
+    weight = (e + 1) ** 2 if modp else GRID_Q_WEIGHT * (1 + bits // GRID_Q_BITS)
+    per_point = r * s * min(r, s) + GRID_TERM_WEIGHT * sum(map(len, m.entries.values()))
+    if math.prod(sizes) * per_point * weight > GRID_WORK_LIMIT:
+        if m.nvars == 1 and max(r, s) <= BAREISS_MAX_SHAPE:
+            rank = rank_laurent_bareiss(m, _work_limit=BAREISS_WORK_LIMIT)
+            if rank is not None:
+                return RankReport(rank, True, Fraction(0))
+        return rank_laurent_probabilistic(m, seed)
+    points = itertools.product(*map(range, sizes))
+    rank = 0
     if modp:
         p = m.field.p
         cpow = _companion_powers(p, e)
@@ -935,18 +941,11 @@ def rank_laurent(m: LaurentMatrix, seed: int = 0) -> RankReport:
         # cells per point: stack slice, term products and monomial values
         term_monos, per_var = terms[3:]
         step = max(1, GRID_STACK_CELLS // ((r * s + len(term_monos) + len(per_var[0][1]) * e) * e))
-
-        def rank_chunk(chunk):
+        while rank < min(r, s) and (chunk := list(itertools.islice(points, step))):
             stack = _evaluate_stack(m, terms, digits[np.array(chunk).T], p, cpow)
-            return int(_rank_stack_modp(stack, p, cpow).max())
+            rank = max(rank, int(_rank_stack_modp(stack, p, cpow).max()))
     else:
         cleared = _integer_rows(m, shifts)
-        step = 1
-
-        def rank_chunk(chunk):
-            return _rank_at_integers(m, cleared, chunk[0])
-    points = itertools.product(*map(range, sizes))
-    rank = 0
-    while rank < min(r, s) and (chunk := list(itertools.islice(points, step))):
-        rank = max(rank, rank_chunk(chunk))
+        while rank < min(r, s) and (point := next(points, None)) is not None:
+            rank = max(rank, _rank_at_integers(m, cleared, point))
     return RankReport(rank, True, Fraction(0))

@@ -394,3 +394,20 @@ def test_ore_q_degree_too_large_to_evaluate_exits_3(tmp_path, capsys):
     code, out, _ = run(capsys, ["ore", "--input", path])
     assert code == 0
     assert out.splitlines()[1] == "ore,0,1,0,0/1,true"
+
+
+def test_ore_q_sparse_high_degree_is_certified(tmp_path, capsys):
+    # rows (x^N + 1, x^N + 1) and (1, 1), N = 10^5: the trials would refuse
+    # powers of 2.3e6 bits and the grid would need 10^5 + 1 points; capped
+    # Bareiss certifies rank 1
+    field = Rationals()
+    f = GroupRingElement(field, Zd(1), {(10**5,): 1, (0,): 1})
+    one = GroupRingElement(field, Zd(1), {(0,): 1})
+    matrix = GroupRingMatrix(field, Zd(1), 2, 2, {(0, 0): f, (0, 1): f,
+                                                  (1, 0): one, (1, 1): one})
+    path = write_json(tmp_path / "qsparse.json", encode_matrix(matrix))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["ore", "--input", path])
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert out.splitlines()[1] == "ore,0,1,1,1/1,true"

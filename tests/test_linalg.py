@@ -825,10 +825,11 @@ def univariate(field, grid):
                           for j, q in enumerate(row) if q})
 
 
-def test_rank_laurent_certifies_dense_8x8_on_the_grid():
+def test_rank_laurent_gives_up_on_dense_bareiss():
     # a dense 8x8 of rank 7 over Q with exponents in [-5, 5]: uncapped
-    # Bareiss takes about 3 s on it; its grid of at most 81 integer points
-    # fits the budget and certifies the rank
+    # Bareiss takes about 3 s on it and its grid of 81 points, evaluating
+    # 703 terms at each, about 0.05 s: past the budget, capped Bareiss
+    # drops out and the trials answer
     rng = random.Random(151)
     coeffs = [c for c in range(-9, 10) if c]
     u = [[{(e,): rng.choice(coeffs) for e in range(-3, 3)} for _ in range(7)]
@@ -839,9 +840,8 @@ def test_rank_laurent_certifies_dense_8x8_on_the_grid():
     start = time.perf_counter()
     report = rank_laurent(m)
     assert time.perf_counter() - start < 1
-    assert report.rank == 7 and report.certified and report.failure_bound == 0
-    trials = rank_laurent_probabilistic(m)
-    assert trials.rank == 7 and not trials.certified
+    assert report.rank == 7 and not report.certified
+    assert report == rank_laurent_probabilistic(m)
 
 
 @pytest.mark.parametrize("field", [F3, PrimeField(1000003), Q], ids=("F_3", "F_1000003", "Q"))
@@ -849,7 +849,8 @@ def test_rank_laurent_certifies_sparse_udv(field):
     # U.D.V as the bench builds it: U and V are monomial-scaled reversals
     # times unitriangular matrices with two units below the diagonal, D
     # holds six binomials.  Rank 6 of 8 is below full rank, so no single
-    # point certifies it; the grid of all points does.
+    # point certifies it; the grid of all points does over F_p, and over Q,
+    # where the grid is past its budget, capped Bareiss does.
     rng = random.Random(157)
 
     def unit():
@@ -913,9 +914,11 @@ def test_rank_laurent_grid_reaches_its_last_point(field, monkeypatch):
 
 @pytest.mark.parametrize("field", [F2, F3, PrimeField(1000003), Q],
                          ids=("F_2", "F_3", "F_1000003", "Q"))
-def test_rank_laurent_grid_matches_bareiss_and_minors(field):
+def test_rank_laurent_grid_matches_bareiss_and_minors(field, monkeypatch):
     # rank-deficient 4x4 products U V with exponents in [-1, 1]: below full
-    # rank, so only the grid certifies them
+    # rank, so only the grid certifies them.  Some bivariate grids here
+    # cost more than the budget admits, so the budget is lifted
+    monkeypatch.setattr(linalg, "GRID_WORK_LIMIT", 1 << 40)
     rng = random.Random(163)
     for k in range(8):
         nvars, inner = 1 + k % 2, 1 + k % 3
@@ -933,6 +936,36 @@ def test_rank_laurent_grid_matches_bareiss_and_minors(field):
         report = rank_laurent(m)
         assert report.certified and report.failure_bound == 0
         assert report.rank == rank_laurent_bareiss(m) == oracle_laurent_rank(m) <= inner
+
+
+@pytest.mark.parametrize("field", [F3, Q], ids=("F_3", "Q"))
+def test_rank_laurent_certifies_few_terms_of_high_degree(field):
+    # rows (x^N + 1, x^N + 1) and (1, 1) have rank 1.  The grid needs N + 1
+    # points however sparse the entries are, so N = 10^5 is past its
+    # budget; Bareiss certifies it in a few term products, where the trials
+    # would leave it uncertified over F_3 and refuse its powers over Q
+    n = 10 ** 5
+    one = {(0,): field.one}
+    m = univariate(field, [[{(n,): field.one, **one}] * 2, [one, one]])
+    start = time.perf_counter()
+    assert rank_laurent(m) == RankReport(1, True, Fraction(0))
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("field", [PrimeField(1000003), Q], ids=("F_1000003", "Q"))
+def test_rank_laurent_budget_counts_evaluation(field):
+    # rows (f, f) and (1, 1), f dense of degree 40 in x and in y: rank 1, so
+    # a grid scan never stops early and evaluates all 3,364 terms at each
+    # of its 41 x 41 points.  The budget counts that evaluation and sends
+    # the matrix to the trials
+    f = {(a, b): field.normalize(1 + (7 * a + 3 * b) % 5)
+         for a in range(41) for b in range(41)}
+    one = {(0, 0): field.one}
+    m = LaurentMatrix(field, 2, 2, 2, {(0, 0): f, (0, 1): dict(f), (1, 0): one, (1, 1): one})
+    start = time.perf_counter()
+    report = rank_laurent(m)
+    assert time.perf_counter() - start < 1
+    assert report.rank == 1 and not report.certified
 
 
 def test_rank_plain_dispatcher():
