@@ -9,6 +9,12 @@ flags to the JSON.  ``--levels`` is read by approx, folner and homology,
 ``--tol`` by approx; the others reject them.  Exit codes: 0 success, 2
 malformed input (diagnostic names the JSON path), 3 unsupported operation
 (message equals the library error text).
+
+A request whose first argument names a subcommand is parsed by one
+parser with that subcommand's options alone.  The full parser
+(``build_parser``) is built only for any other first argument and for
+arguments that one parser leaves over, so usage, help and error text are
+argparse's own, byte for byte.
 """
 from __future__ import annotations
 
@@ -100,17 +106,36 @@ COMMANDS = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The argument parser, built for one request.
+def _help_formatter():
+    """argparse's formatter at the terminal width, read once: argparse
+    itself reads the terminal size for every ``add_argument``."""
+    return functools.partial(argparse.HelpFormatter,
+                             width=shutil.get_terminal_size().columns - 2)
 
-    Every subcommand is registered, so usage and error text do not depend
-    on ``command``.  When ``command`` names a subcommand, only its
-    subparser gets options, since ``parse_args`` dispatches to no other;
-    otherwise all of them do.  The help width is read once per build,
-    because argparse reads the terminal size for every ``add_argument``.
+
+def _add_options(parser: argparse.ArgumentParser, levels: bool, tol: bool) -> None:
+    """The options of one subcommand, for its subparser in ``build_parser``
+    and for the one-subcommand parser of ``_parse_args`` alike."""
+    parser.add_argument("--input", required=True, help="path to a JSON input file")
+    if levels:
+        parser.add_argument("--levels", default=None,
+                            help="comma-separated strictly increasing levels")
+    parser.add_argument("--seed", type=int, default=0)
+    if tol:
+        parser.add_argument("--tol", default="1/20",
+                            help="agreement tolerance as an exact rational, e.g. 1/20")
+    parser.add_argument("--out", default=None, help="output path (default stdout)")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full argument parser: every subcommand with its options.
+
+    ``main`` builds it only when the first argument names no subcommand,
+    or when the one-subcommand parser leaves arguments over, so that
+    top-level usage and those error messages are argparse's own.
     """
-    formatter = functools.partial(argparse.HelpFormatter,
-                                  width=shutil.get_terminal_size().columns - 2)
+    formatter = _help_formatter()
     parser = argparse.ArgumentParser(
         prog="oredim",
         description="Exact dimension functions for modules over group rings "
@@ -118,21 +143,28 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         formatter_class=formatter)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (summary, levels, tol) in COMMANDS.items():
-        used = command not in COMMANDS or command == name
-        p = sub.add_parser(name, help=summary, formatter_class=formatter, add_help=used)
-        if not used:
-            continue
-        p.add_argument("--input", required=True, help="path to a JSON input file")
-        if levels:
-            p.add_argument("--levels", default=None,
-                           help="comma-separated strictly increasing levels")
-        p.add_argument("--seed", type=int, default=0)
-        if tol:
-            p.add_argument("--tol", default="1/20",
-                           help="agreement tolerance as an exact rational, e.g. 1/20")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        _add_options(sub.add_parser(name, help=summary, formatter_class=formatter),
+                     levels, tol)
     return parser
+
+
+def _parse_args(argv: List[str]) -> argparse.Namespace:
+    """The parsed command line, as ``build_parser().parse_args(argv)`` gives it.
+
+    When ``argv[0]`` names a subcommand, the rest goes to one parser with
+    that subcommand's options and prog, the same as its subparser, and the
+    full parser is built only if arguments are left over (to report them).
+    """
+    if argv and argv[0] in COMMANDS:
+        _, levels, tol = COMMANDS[argv[0]]
+        one = argparse.ArgumentParser(prog=f"oredim {argv[0]}",
+                                      formatter_class=_help_formatter())
+        _add_options(one, levels, tol)
+        args, rest = one.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _run_ore(args) -> List[Record]:
@@ -173,7 +205,7 @@ def _run_betti_finite(args) -> List[Record]:
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parse_args(argv)
     try:
         if args.command == "approx":
             records, extra = _run_approx(args)

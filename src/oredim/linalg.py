@@ -77,12 +77,17 @@ GRID_STACK_CELLS = 1 << 16
 SCHWARTZ_ZIPPEL_MARGIN = 64
 PROBABILISTIC_TRIALS = 3
 
-# Candidates _find_irreducible tests in lex order, then as many at random.
-# Rabin's test takes 1.5 ms per candidate at (p, e) = (1000003, 4) and 4.1 ms
-# at (2^31-1, 4), one thread.  For p <= 101, e <= 16 lex order finds one
-# within 218 candidates except at (89, 9), (89, 12), (89, 13), (73, 13),
-# (43, 15) and (43, 16), which it reaches at 269 to 605.
+# Candidates _find_irreducible tests in lex order, then as many at random,
+# IRREDUCIBLE_BATCH at a time.  Rabin's test takes 0.3 ms per batch at
+# (p, e) = (1000003, 4) and 0.8 ms at (2^31-1, 4), one thread, so a search
+# that tests all 512 candidates takes about 20 and 50 ms.  numpy's batched
+# int64 products slow down as the batch grows: over the 31 moduli of a
+# laurent-targets round (seed 7) batches of 1, 4, 8, 16, 32 and 256 took
+# 19, 9-10, 10, 12-14, 16-23 and 27 ms.  For p <= 101, e <= 16 lex order
+# finds one within 218 candidates except at (89, 9), (89, 12), (89, 13),
+# (73, 13), (43, 15) and (43, 16), which it reaches at 269 to 605.
 IRREDUCIBLE_SEARCH_LIMIT = 256
+IRREDUCIBLE_BATCH = 8
 
 # A trial over Q raises integers up to 64*D to each exponent of the
 # row-cleared terms: its largest power has about top * bit_length(64*D)
@@ -629,11 +634,13 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def _companion(f, p: int) -> np.ndarray:
     """Companion matrix of the monic f (coefficients, constant first): the
-    matrix of multiplication by x on F_p[x]/(f), so g(C) multiplies by g."""
-    e = len(f) - 1
-    c = np.zeros((e, e), dtype=np.int64)
-    c[1:, :-1] = np.eye(e - 1, dtype=np.int64)
-    c[:, -1] = [-x % p for x in f[:e]]
+    matrix of multiplication by x on F_p[x]/(f), so g(C) multiplies by g.
+    For a stack of polynomials, one per row of ``f``, a stack of them."""
+    f = np.asarray(f, dtype=np.int64)
+    e = f.shape[-1] - 1
+    c = np.zeros(f.shape[:-1] + (e, e), dtype=np.int64)
+    c[..., 1:, :-1] = np.eye(e - 1, dtype=np.int64)
+    c[..., :, -1] = -f[..., :e] % p
     return c
 
 
@@ -655,33 +662,100 @@ def _find_irreducible(p: int, e: int):
     a is a q-th power when q does not divide p - 1, and every a that is not
     a square lies in -4 F_p^4 when 4 does not divide p - 1.  Skipped
     candidates still count against the limit, so no (p, e) changes its
-    polynomial.  The rest get Rabin's test on the companion matrix C: f is
-    irreducible iff C^(p^e) = C and C^(p^(e/q)) - C, the multiplication
-    by x^(p^(e/q)) - x, is invertible for every prime q dividing e.
+    polynomial.  Both filters are array tests on each phase's candidates;
+    the survivors go, IRREDUCIBLE_BATCH at a time and in order, to
+    ``_rabin_passes``, and the first that passes is returned.
     """
     if e == 1:
         return [0, 1]
     primes = _prime_factors(e)
     no_binomial = (any((p - 1) % q for q in primes)
                    or (e % 4 == 0 and (p - 1) % 4 != 0))
-    steps = [e // q for q in primes] + [e]
     rng = random.Random(f"{p}:{e}")
-    in_order = ([k // p ** i % p for i in range(e)] + [1]
-                for k in range(min(p ** e, IRREDUCIBLE_SEARCH_LIMIT)))
-    drawn = ([rng.randrange(p) for _ in range(e)] + [1]
-             for _ in range(IRREDUCIBLE_SEARCH_LIMIT))
-    for f in itertools.chain(in_order, drawn):
-        if (no_binomial and not any(f[1:e])) or any(
-                sum(c * a ** i for i, c in enumerate(f)) % p == 0 for a in (0, 1, -1)):
-            continue
-        c = _companion(f, p)
-        frob = _matrix_powers(c, [p ** n for n in steps], p)
-        if (frob[-1] == c).all() and all(
-                _rank_dense_modp(m - c, p) == e for m in frob[:-1]):
-            return f
+
+    def lex():
+        rest, digits = np.arange(min(p ** e, IRREDUCIBLE_SEARCH_LIMIT)), []
+        for _ in range(e):
+            rest, digit = np.divmod(rest, p)
+            digits.append(digit)
+        return np.stack(digits, axis=1)
+
+    def drawn():
+        return np.array([[rng.randrange(p) for _ in range(e)]
+                         for _ in range(IRREDUCIBLE_SEARCH_LIMIT)], dtype=np.int64)
+
+    signs = (-1) ** np.arange(e + 1)
+    for phase in (lex, drawn):
+        low = phase()
+        f = np.column_stack([low, np.ones(len(low), dtype=np.int64)])
+        keep = (f[:, 0] != 0) & (f.sum(axis=1) % p != 0) & (f @ signs % p != 0)
+        if no_binomial:
+            keep &= f[:, 1:e].any(axis=1)
+        survivors = f[keep]
+        for start in range(0, len(survivors), IRREDUCIBLE_BATCH):
+            batch = survivors[start:start + IRREDUCIBLE_BATCH]
+            passed = _rabin_passes(batch, p, primes)
+            if passed.any():
+                return batch[passed.argmax()].tolist()
     raise UnsupportedOperationError(
         f"no irreducible of degree {e} over F_{p} among "
         f"{2 * IRREDUCIBLE_SEARCH_LIMIT} candidates")
+
+
+def _rabin_passes(f: np.ndarray, p: int, primes) -> np.ndarray:
+    """Rabin's test (Rabin, Probabilistic algorithms in finite fields, SIAM
+    J. Comput. 9, 1980) on each row of ``f``, a batch of monic polynomials
+    of degree e >= 2 (coefficients, constant term first): f is irreducible
+    iff x^(p^e) = x mod f and gcd(x^(p^(e/q)) - x, f) = 1 for every prime
+    q | e, given as ``primes``.
+
+    With C the companion matrix of f, C^p multiplies by x^p, so the
+    Frobenius matrix, whose column j is x^(pj) mod f (C^(pj) applied to 1),
+    maps g to g^p; its powers applied to x give x^(p^k) for k <= e, batched
+    matrix-vector products.  Few candidates pass the first condition, and
+    only those get ``_coprime``.
+    """
+    n, e = f.shape[0], f.shape[1] - 1
+    c = _companion(f, p)
+
+    def apply(a, v):
+        return _matmul_mod(a, v[..., None], p)[..., 0]
+
+    columns = [np.zeros((n, e), dtype=np.int64)]
+    columns[0][:, 0] = 1
+    c_p = _matrix_powers(c, [p], p)[:, 0]
+    for _ in range(e - 1):
+        columns.append(apply(c_p, columns[-1]))
+    frobenius = np.stack(columns, axis=2)
+    x = np.zeros((n, e), dtype=np.int64)
+    x[:, 1] = 1
+    x_powers = [x]
+    for _ in range(e):
+        x_powers.append(apply(frobenius, x_powers[-1]))
+    passed = (x_powers[e] == x).all(axis=1)
+    for k in np.nonzero(passed)[0]:
+        passed[k] = all(_coprime((x_powers[e // q][k] - x[k]) % p, f[k], p) for q in primes)
+    return passed
+
+
+def _coprime(h, f, p: int) -> bool:
+    """Whether gcd(h, f) = 1 over F_p, by Euclid's algorithm on coefficient
+    sequences (constant term first); f is nonzero."""
+    a, b = [int(c) for c in f], [int(c) for c in h]
+    while True:
+        while b and not b[-1]:
+            b.pop()
+        if not b:
+            return len(a) == 1
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            lead = a.pop() * inv % p
+            shift = len(a) - len(b) + 1
+            for i, c in enumerate(b[:-1]):
+                a[shift + i] = (a[shift + i] - lead * c) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
 
 
 def _companion_powers(p: int, e: int) -> np.ndarray:
@@ -814,7 +888,8 @@ class RankReport:
     failure_bound: Fraction
 
 
-def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0) -> RankReport:
+def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0, *,
+                               _shifts=None) -> RankReport:
     """Schwartz-Zippel rank: evaluate at random points, take the max of
     three trials.  Evaluation can only lower the rank, so a trial that
     reaches min(r, s) certifies it.
@@ -840,11 +915,13 @@ def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0) -> RankReport:
     the lcm of its denominators, a nonzero integer that changes no trial's
     rank; a trial then sums plain ints, which ``rank_sparse`` takes as
     exact rationals.
+
+    ``_shifts`` is ``_clearing_shifts(m)`` when the caller has it already.
     """
     r, s = m.nrows, m.ncols
     if r == 0 or s == 0 or not m.entries:
         return RankReport(0, True, Fraction(0))
-    shifts = _clearing_shifts(m)
+    shifts = _clearing_shifts(m) if _shifts is None else _shifts
     row_degrees = [0] * r
     for (i, _), poly in m.entries.items():
         row_degrees[i] = max(row_degrees[i], sum(shifts[i]) + max(map(sum, poly)))
@@ -919,7 +996,7 @@ def rank_laurent(m: LaurentMatrix, seed: int = 0) -> RankReport:
     sizes = [1 + sum(sorted(col, reverse=True)[:min(r, s)]) for col in zip(*cleared_tops)]
     if max(sizes, default=1) == 1:
         # constant once cleared, which the trials rank exactly
-        return rank_laurent_probabilistic(m, seed)
+        return rank_laurent_probabilistic(m, seed, _shifts=shifts)
     modp = isinstance(m.field, PrimeField)
     e = next(k for k in itertools.count(1) if not modp or m.field.p ** k >= max(sizes))
     bits = max(map(sum, cleared_tops)) * (max(sizes) - 1).bit_length()
@@ -930,7 +1007,7 @@ def rank_laurent(m: LaurentMatrix, seed: int = 0) -> RankReport:
             rank = rank_laurent_bareiss(m, _work_limit=BAREISS_WORK_LIMIT)
             if rank is not None:
                 return RankReport(rank, True, Fraction(0))
-        return rank_laurent_probabilistic(m, seed)
+        return rank_laurent_probabilistic(m, seed, _shifts=shifts)
     points = itertools.product(*map(range, sizes))
     rank = 0
     if modp:

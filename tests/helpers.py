@@ -231,6 +231,19 @@ def rabin_irreducible(f, p):
                for q in primes)
 
 
+def first_rabin_candidate(p, e, limit):
+    """First polynomial passing ``rabin_irreducible``, tested one at a time,
+    among the candidates ``_find_irreducible`` walks: the first ``limit``
+    of ``monic_polys``, then ``limit`` draws of e coefficients each from
+    random.Random(f"{p}:{e}")."""
+    rng = random.Random(f"{p}:{e}")
+    drawn = ([rng.randrange(p) for _ in range(e)] + [1] for _ in range(limit))
+    for f in itertools.chain(itertools.islice(monic_polys(p, e), limit), drawn):
+        if rabin_irreducible(f, p):
+            return f
+    return None
+
+
 def oracle_rank_ext(cells, modulus, p):
     """Rank over F_{p^e} = F_p[x]/(modulus) of a matrix of coefficient
     lists, by restriction of scalars: each cell b becomes the e x e block

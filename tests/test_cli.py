@@ -292,10 +292,10 @@ def test_each_subcommand_accepts_only_its_options():
             assert ok == (option in accepted), (command, option)
 
 
-def _parse(parser, argv, capsys):
-    """(namespace or exit code, stdout, stderr) of one parse_args call."""
+def _parse(parse, argv, capsys):
+    """(namespace or exit code, stdout, stderr) of one parse."""
     try:
-        result = parser.parse_args(argv)
+        result = parse(argv)
     except SystemExit as exc:
         result = exc.code
     captured = capsys.readouterr()
@@ -304,29 +304,48 @@ def _parse(parser, argv, capsys):
 
 @pytest.mark.parametrize("command", sorted(ACCEPTED))
 def test_parser_for_one_command_matches_full_parser(command, capsys):
-    # build_parser(command) gives only that subparser its options; on every
-    # argv starting with the command it must behave as the full parser.
-    one, full = cli.build_parser(command), cli.build_parser()
+    # main parses a request with one parser that has only the invoked
+    # subcommand's options; on every argv it must behave as the full parser.
     base = [command, "--input", "in.json"]
     every = base + [x for o in sorted(ACCEPTED[command]) for x in (o, OPTION_VALUES[o])]
     cases = [base, every, [command, "--help"], ["--help"], [command], []]
     cases += [base + [option, value] for option, value in OPTION_VALUES.items()]
+    cases += [[command, "--input=in.json"], [command, "--inp", "in.json"],
+              base + ["--seed", "1", "--seed", "2"], base + ["--", "x"],
+              base + ["stray"], base + ["--bogus"]]
     for argv in cases:
-        got, want = _parse(one, argv, capsys), _parse(full, argv, capsys)
+        got = _parse(cli._parse_args, argv, capsys)
+        want = _parse(cli.build_parser().parse_args, argv, capsys)
         assert got == want, argv
 
 
 @pytest.mark.parametrize("columns", ["50", "120"])
-def test_help_width_is_the_terminal_width(columns, monkeypatch):
-    # build_parser reads the width once; the help must wrap as argparse's
-    # own formatter, which reads it per call, would wrap it.
+def test_help_width_is_the_terminal_width(columns, monkeypatch, capsys):
+    # the parsers read the width once; the help must wrap as argparse's own
+    # formatter, which reads it per call, would wrap it.
     monkeypatch.setenv("COLUMNS", columns)
-    parser = cli.build_parser("approx")
-    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    for p in (parser, sub.choices["approx"]):
-        text = p.format_help()
-        p.formatter_class = argparse.HelpFormatter
-        assert text == p.format_help()
+    for argv in (["--help"], ["approx", "--help"]):
+        full = cli.build_parser()
+        [sub] = [a for a in full._actions if isinstance(a, argparse._SubParsersAction)]
+        for p in (full, *sub.choices.values()):
+            p.formatter_class = argparse.HelpFormatter
+        got = _parse(cli._parse_args, argv, capsys)
+        assert got == _parse(full.parse_args, argv, capsys), argv
+        assert got[0] == 0 and got[1].startswith("usage: "), argv
+
+
+def test_well_formed_request_builds_one_parser(z_module_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    code, out, _ = run(capsys, ["ore", "--input", z_module_path, "--seed", "1"])
+    assert code == 0 and out.startswith("method,")
+    assert built == ["oredim ore"]
 
 
 def test_main_reads_sys_argv(z_module_path, capsys, monkeypatch):

@@ -7,9 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import (cleared_minor_degree, first_irreducible, oracle_laurent_rank,
-                     oracle_rank, oracle_rank_ext, oracle_rank_q, polymulmod,
-                     rabin_irreducible)
+from helpers import (cleared_minor_degree, first_irreducible, first_rabin_candidate,
+                     oracle_laurent_rank, oracle_rank, oracle_rank_ext, oracle_rank_q,
+                     polymulmod, rabin_irreducible)
 from oredim import linalg
 from oredim.errors import UnsupportedOperationError
 from oredim.fields import PrimeField, Rationals
@@ -22,6 +22,7 @@ F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
 Q = Rationals()
+LIMIT = linalg.IRREDUCIBLE_SEARCH_LIMIT
 
 
 def dense(field, rows):
@@ -880,6 +881,26 @@ def test_rank_laurent_one_row_or_column_is_exact(monkeypatch):
     assert rank_laurent(LaurentMatrix(Q, 1, 4, 1, {})) == RankReport(0, True, Fraction(0))
 
 
+def test_rank_laurent_clears_each_matrix_once(monkeypatch):
+    # the trials take rank_laurent's clearing shifts, both past the grid
+    # budget and for a matrix that is constant once cleared
+    field = PrimeField(1000003)
+    f = {(300, 0): 1, (0, 300): 2, (0, 0): 1}
+    one = {(0, 0): 1}
+    past = LaurentMatrix(field, 2, 2, 2, {(0, 0): f, (0, 1): dict(f), (1, 0): one, (1, 1): one})
+    constant = LaurentMatrix(field, 2, 2, 2, {(0, 0): {(1, 0): 1}, (0, 1): {(1, 0): 2},
+                                              (1, 0): {(0, -1): 3}, (1, 1): {(0, -1): 1}})
+    calls = []
+    clear = linalg._clearing_shifts
+    monkeypatch.setattr(linalg, "_clearing_shifts", lambda m: calls.append(m) or clear(m))
+    for m, rank, certified in ((past, 1, False), (constant, 2, True)):
+        calls.clear()
+        report = rank_laurent(m)
+        assert calls == [m]
+        assert (report.rank, report.certified) == (rank, certified)
+        assert report == rank_laurent_probabilistic(m)
+
+
 def falling(field, n, var, nvars):
     """prod_{j<n} (t_var - j) as a Laurent polynomial in nvars variables."""
     zero = (0,) * nvars
@@ -1002,7 +1023,8 @@ def test_extension_field_products_randomized():
 @pytest.mark.parametrize("p,top", [(2, 14), (3, 9), (5, 5), (47, 2), (7, 4), (11, 3)])
 def test_find_irreducible_matches_trial_division(p, top):
     for e in range(2, top + 1):
-        assert linalg._find_irreducible(p, e) == first_irreducible(p, e), (p, e)
+        f = linalg._find_irreducible(p, e)
+        assert f == first_irreducible(p, e) == first_rabin_candidate(p, e, LIMIT), (p, e)
 
 
 def test_find_irreducible_bounded_search():
@@ -1023,6 +1045,33 @@ def test_find_irreducible_bounded_search():
     f = linalg._find_irreducible(2**31 - 1, 4)
     assert time.perf_counter() - start < 0.5
     assert f == [1058765899, 1753360988, 1755736461, 1707527090, 1]
+    # the batched search decides as Rabin's test on one candidate at a time:
+    # degree 16 takes many batches, and (1000003, 8) a random phase
+    for p, e in ((2, 16), (3, 16), (1000003, 4), (1000003, 8), (2**31 - 1, 4)):
+        assert linalg._find_irreducible(p, e) == first_rabin_candidate(p, e, LIMIT), (p, e)
+
+
+def test_find_irreducible_filters_before_rabin(monkeypatch):
+    # candidates with a root at 0, 1 or -1 never reach Rabin's test, nor do
+    # binomials x^e + c where none is irreducible: (7, 4), (11, 3) and
+    # (1000003, 4), as in test_find_irreducible_bounded_search
+    tested = []
+    rabin = linalg._rabin_passes
+
+    def spy(f, p, primes):
+        tested.extend(f.tolist())
+        return rabin(f, p, primes)
+
+    monkeypatch.setattr(linalg, "_rabin_passes", spy)
+    for p, e, no_binomial in ((3, 4, False), (5, 6, False), (7, 4, True), (11, 3, True),
+                              (1000003, 4, True)):
+        linalg._find_irreducible.cache_clear()
+        tested.clear()
+        assert linalg._find_irreducible(p, e) in tested
+        for f in tested:
+            assert all(sum(c * a ** i for i, c in enumerate(f)) % p for a in (0, 1, -1)), (p, e, f)
+            assert not no_binomial or any(f[1:e]), (p, e, f)
+    linalg._find_irreducible.cache_clear()
 
 
 def test_matmul_mod_exact_at_largest_prime():
