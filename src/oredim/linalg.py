@@ -17,13 +17,13 @@ Two matrix flavors:
 
 * ``LaurentMatrix`` -- matrices whose entries are Laurent polynomials in d
   commuting variables, i.e. matrices over the rational function field
-  k(t_1..t_d).  ``rank_laurent`` certifies the rank on a grid of points
-  when the grid is small, else by capped Bareiss elimination
-  (``rank_laurent_bareiss``) on small univariate matrices, else calls
-  ``rank_laurent_probabilistic``, which evaluates at random points of an
-  extension field F_{p^e} (random integers over Q) large enough that the
-  Schwartz-Zippel bound on losing rank is tiny, and reports that bound.
-  Over F_p the points are one stack for ``_rank_stack_modp``.
+  k(t_1..t_d).  ``rank_laurent`` certifies the rank on a grid of points when
+  the grid is small, ranked by ``_rank_stack_modp`` over F_{p^e} or, over Q,
+  modulo enough primes for a coefficient-height bound; else by capped
+  Bareiss elimination (``rank_laurent_bareiss``) on small univariate
+  matrices; else ``rank_laurent_probabilistic`` evaluates at random points
+  of F_{p^e} (random integers over Q) large enough that the Schwartz-Zippel
+  bound on losing rank is tiny, and reports that bound.
 
 Evaluation can only lower the rank, so the probabilistic answer is a certified
 lower bound, certified outright at full rank min(r, s); below that it is
@@ -43,7 +43,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .errors import UnsupportedOperationError
-from .fields import Field, PrimeField, RawScalar
+from .fields import MAX_PRIME, Field, PrimeField, RawScalar, is_prime
 
 Poly = Dict[Tuple[int, ...], RawScalar]
 
@@ -58,18 +58,16 @@ DENSE_ENTRY_LIMIT = 4096
 DENSE_DENSITY_LIMIT = 0.2
 SPARSE_FILL_LIMIT = 0.5
 
-# rank_laurent ranks on an evaluation grid when points * (r * s * min(r, s)
-# + GRID_TERM_WEIGHT * terms) * w <= GRID_WORK_LIMIT, w = (e + 1)^2 over F_p
-# and GRID_Q_WEIGHT per started GRID_Q_BITS of the largest power over Q.  A
-# unit took 0.5-2.5 ns (one thread) on the bench's matrices and on dense
-# entries of up to 804 terms, so a grid at the limit costs a few ms.  Past
-# it, univariate matrices up to BAREISS_MAX_SHAPE square try Bareiss, which
-# drops out after BAREISS_WORK_LIMIT term products (at most about 140 ms).
-# A stacked grid call holds at most GRID_STACK_CELLS int64 cells (~1 MB).
+# rank_laurent ranks on an evaluation grid when K * max(points * (r * s *
+# min(r, s) + GRID_TERM_WEIGHT * terms) * (e + 1)^2, GRID_STACK_CELLS) <=
+# GRID_WORK_LIMIT: K = 1 over F_{p^e}, over Q (e = 1) the primes, each scan
+# 0.2-0.3 ms at least.  A unit took 0.5-2.5 ns (one thread) on the bench's
+# matrices and dense entries of up to 804 terms: a grid at the limit costs a
+# few ms.  Past it, univariate matrices up to BAREISS_MAX_SHAPE square try
+# Bareiss, which drops out after BAREISS_WORK_LIMIT term products (~140 ms
+# at most).  A stacked grid call holds at most GRID_STACK_CELLS int64 cells.
 GRID_WORK_LIMIT = 1 << 22
 GRID_TERM_WEIGHT = 16
-GRID_Q_WEIGHT = 64
-GRID_Q_BITS = 512
 BAREISS_MAX_SHAPE = 8
 BAREISS_WORK_LIMIT = 16384
 GRID_STACK_CELLS = 1 << 16
@@ -549,9 +547,9 @@ def rank_laurent_bareiss(m: LaurentMatrix, *, _work_limit=None) -> Optional[int]
 
     Each row is first divided by its least monomial (units do not change
     rank), which leaves no negative exponent.  The one-step Bareiss
-    recurrence then keeps every entry a minor of the cleared matrix, so
-    the division by the previous pivot is exact; columns with no pivot are skipped, rows
-    are swapped to the first nonzero candidate.  ``rank_laurent`` alone
+    recurrence then keeps every entry a minor of the cleared matrix, so the
+    division by the previous pivot is exact; pivotless columns are skipped
+    and rows swapped to the first nonzero candidate.  ``rank_laurent`` alone
     passes ``_work_limit``: None comes back once term products pass it.
     """
     field = m.field
@@ -801,18 +799,17 @@ def _random_nonzero(rng: random.Random, p: int, e: int):
             return digits
 
 
-def _cleared_terms(m: LaurentMatrix, shifts):
-    """The terms of ``m`` with each row scaled by its monomial in ``shifts``
-    (from ``_clearing_shifts``), laid out for evaluation with numpy.
+def _cleared_terms(m: LaurentMatrix, entries, shifts, primes):
+    """The terms of ``entries`` (``m``'s or ``_integer_rows``), rows times ``shifts``, for numpy.
 
     Returns the flat cell index of each nonzero entry and the offset of
-    its first term; each term's coefficient (a column) and the index of its
-    monomial; and per variable, the distinct exponents it takes with the
-    position of each monomial's exponent among them.
+    its first term; for each p in ``primes`` the terms' coefficients mod p
+    (a column); each term's monomial index; and per variable, the distinct
+    exponents it takes with the position of each monomial's among them.
     """
     monos: Dict[Tuple[int, ...], int] = {}
     cells, starts, coeffs, term_monos = [], [], [], []
-    for (i, j), poly in m.entries.items():
+    for (i, j), poly in entries.items():
         cells.append(i * m.ncols + j)
         starts.append(len(coeffs))
         for exp, v in poly.items():
@@ -824,8 +821,8 @@ def _cleared_terms(m: LaurentMatrix, shifts):
         exps = sorted(set(column))
         pos = {n: k for k, n in enumerate(exps)}
         per_var.append((exps, np.array([pos[n] for n in column])))
-    return (cells, starts, np.array(coeffs, dtype=np.int64)[:, None],
-            np.array(term_monos), per_var)
+    columns = {p: np.array([v % p for v in coeffs], dtype=np.int64)[:, None] for p in primes}
+    return cells, starts, columns, np.array(term_monos), per_var
 
 
 def _evaluate_stack(m: LaurentMatrix, terms, xs: np.ndarray, p: int,
@@ -835,7 +832,7 @@ def _evaluate_stack(m: LaurentMatrix, terms, xs: np.ndarray, p: int,
     takes; ``xs`` is d x P x e, point j has t_k = xs[k, j].  Each distinct
     monomial is evaluated once per point, through binary powers of each
     coordinate's multiplication block."""
-    cells, starts, coeffs, term_monos, per_var = terms
+    cells, starts, columns, term_monos, per_var = terms
     e = cpow.shape[0]
     npts = xs.shape[1]
     vals = np.zeros((npts, len(per_var[0][1]), e), dtype=np.int64)
@@ -844,33 +841,30 @@ def _evaluate_stack(m: LaurentMatrix, terms, xs: np.ndarray, p: int,
         powers = _matrix_powers(_multiplication_blocks(values, cpow, p), exps, p)
         vals = _matmul_mod(powers[:, where], vals[..., None], p)[..., 0]
     products = vals[:, term_monos]
-    products *= coeffs
+    products *= columns[p]
     products %= p
     out = np.zeros((npts, m.nrows * m.ncols, e), dtype=np.int64)
     out[:, cells] = np.add.reduceat(products, starts, axis=1) % p
     return out.reshape(npts, m.nrows, m.ncols * e)
 
 
-def _integer_rows(m: LaurentMatrix, shifts):
-    """Over Q: each row's terms with the row scaled by its monomial in
-    ``shifts`` and by the lcm of its denominators, a nonzero integer; so
-    every coefficient is an int.  Maps each cell to [(exponent, int)]."""
+def _integer_rows(m: LaurentMatrix):
+    """Over Q: ``m.entries``, each row times the lcm of its denominators, so all ints."""
     lcms = [1] * m.nrows
     for (i, _), poly in m.entries.items():
         lcms[i] = math.lcm(lcms[i], *(v.denominator for v in poly.values()))
-    return {(i, j): [(tuple(map(operator.add, exp, shifts[i])),
-                      v.numerator * (lcms[i] // v.denominator))
-                     for exp, v in poly.items()]
+    return {(i, j): {exp: v.numerator * (lcms[i] // v.denominator) for exp, v in poly.items()}
             for (i, j), poly in m.entries.items()}
 
 
-def _rank_at_integers(m: LaurentMatrix, cleared, point) -> int:
-    """Rank over Q of the ``_integer_rows`` matrix at an integer point."""
+def _rank_at_integers(m: LaurentMatrix, entries, shifts, point) -> int:
+    """Rank over Q of the ``_integer_rows`` rows times their ``shifts`` at an integer point."""
     evaluated = PlainMatrix(m.field, m.nrows, m.ncols)
-    for k, terms in cleared.items():
-        value = sum(c * math.prod(map(pow, point, exp)) for exp, c in terms)
+    for (i, j), poly in entries.items():
+        value = sum(c * math.prod(map(pow, point, map(operator.add, exp, shifts[i])))
+                    for exp, c in poly.items())
         if value:
-            evaluated.entries[k] = value
+            evaluated.entries[(i, j)] = value
     return rank_plain(evaluated)
 
 
@@ -895,16 +889,16 @@ def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0, *,
     reaches min(r, s) certifies it.
 
     Each row is first divided by its least monomial, the monomial whose
-    exponent in each variable is the least over the row's terms.  That
-    does not change the rank at any point, and it leaves no negative
-    exponent, so evaluation needs no inverses.  A row's degree is the largest total degree of its
-    cleared terms, and a minor of the cleared matrix has total degree at
-    most the sum of its rows' degrees.  So the nonzero minors have degree
-    at most D, the sum of the min(r, s) largest row degrees, and a
+    exponent in each variable is the least over the row's terms.  That does
+    not change the rank at any point, and it leaves no negative exponent, so
+    evaluation needs no inverses.  A row's degree is the largest total
+    degree of its cleared terms, and a minor of the cleared matrix has total
+    degree at most the sum of its rows' degrees.  So the nonzero minors have
+    degree at most D, the sum of the min(r, s) largest row degrees, and a
     uniformly random point from a sample space of size >= 64*D witnesses
-    full generic rank except with probability <= D/|space| per trial.
-    D = 0 means every row is a constant row times a monomial; the cleared
-    matrix is then constant and is ranked exactly.
+    full generic rank except with probability <= D/|space| per trial.  D = 0
+    means every row is a constant row times a monomial; the cleared matrix
+    is then constant and is ranked exactly.
 
     Over F_p the points lie in F_{p^e}, e the least degree with
     p^e - 1 >= 64*D, and the three trials are one ``_rank_stack_modp`` stack.
@@ -943,7 +937,7 @@ def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0, *,
         cpow = _companion_powers(p, e)
         points = [[_random_nonzero(rng, p, e) for _ in range(m.nvars)] for rng in rngs]
         xs = np.array(points).transpose(1, 0, 2)
-        stack = _evaluate_stack(m, _cleared_terms(m, shifts), xs, p, cpow)
+        stack = _evaluate_stack(m, _cleared_terms(m, m.entries, shifts, [p]), xs, p, cpow)
         best = int(_rank_stack_modp(stack, p, cpow).max())
     else:
         bits = max(row_degrees) * target.bit_length()
@@ -952,11 +946,11 @@ def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0, *,
                 f"evaluating this matrix over Q needs powers of about {bits} bits, "
                 f"beyond the limit of {Q_POWER_BITS_LIMIT}")
         sample_size = target
-        cleared = _integer_rows(m, shifts)
+        entries = _integer_rows(m)
         best = 0
         for rng in rngs:
             point = [rng.randrange(1, target + 1) for _ in range(m.nvars)]
-            best = max(best, _rank_at_integers(m, cleared, point))
+            best = max(best, _rank_at_integers(m, entries, shifts, point))
             if best == min(r, s):
                 break
     if best == min(r, s):
@@ -976,14 +970,21 @@ def rank_laurent(m: LaurentMatrix, seed: int = 0) -> RankReport:
     every minor has degree at most D_k in t_k.  Such a polynomial that
     vanishes on a grid S_1 x .. x S_d with |S_k| = D_k + 1 is zero (Alon,
     Combinatorial Nullstellensatz, Combin. Probab. Comput. 8, 1999, Lemma
-    2.1), so the largest rank over the grid is the rank, certified; the
-    scan stops once a point reaches min(r, s).  Over F_p, S_k holds the
-    digit vectors of 0..D_k in the least F_{p^e} with p^e > max D_k, ranked
-    in stacks; over Q, the integers 0..D_k.  The budget (GRID_WORK_LIMIT)
-    counts evaluation as well as elimination.  Past it, a univariate
-    matrix up to BAREISS_MAX_SHAPE square tries capped
-    ``rank_laurent_bareiss``, exact on few terms of high degree; the rest
-    go to ``rank_laurent_probabilistic``.
+    2.1), so the largest rank over the grid is the rank, certified; the scan
+    stops once a point reaches min(r, s).  ``_rank_stack_modp`` ranks the
+    points: over F_p, S_k holds the digit vectors of 0..D_k in the least
+    F_{p^e} with p^e > max D_k.  Over Q, S_k = 0..D_k and the integer-cleared
+    rows are taken mod K primes p_i in (2^30, 2^31), K = bits(2H) // 30 + 1
+    for H the product of the min(r, s) largest row 1-norms (an empty row
+    counts 1), so prod p_i > 2H.  A point of rank rho mod p_i shows a
+    nonzero integer rho-minor; if none passes rho, each p_i divides (Alon
+    over F_{p_i}) every coefficient of every (rho+1)-minor, at most H in
+    size, so they are 0 (the small-primes method: von zur Gathen and
+    Gerhard, Modern Computer Algebra, ch. 5).  The budget (GRID_WORK_LIMIT)
+    counts evaluation and elimination, each prime as at least a full stack
+    (GRID_STACK_CELLS).  Past it, univariate matrices up to BAREISS_MAX_SHAPE
+    square try capped ``rank_laurent_bareiss``, exact on few terms of high
+    degree, and ``rank_laurent_probabilistic`` the rest.
     """
     r, s = m.nrows, m.ncols
     if min(r, s) <= 1 or not m.entries:
@@ -999,30 +1000,34 @@ def rank_laurent(m: LaurentMatrix, seed: int = 0) -> RankReport:
         return rank_laurent_probabilistic(m, seed, _shifts=shifts)
     modp = isinstance(m.field, PrimeField)
     e = next(k for k in itertools.count(1) if not modp or m.field.p ** k >= max(sizes))
-    bits = max(map(sum, cleared_tops)) * (max(sizes) - 1).bit_length()
-    weight = (e + 1) ** 2 if modp else GRID_Q_WEIGHT * (1 + bits // GRID_Q_BITS)
     per_point = r * s * min(r, s) + GRID_TERM_WEIGHT * sum(map(len, m.entries.values()))
-    if math.prod(sizes) * per_point * weight > GRID_WORK_LIMIT:
+    work = math.prod(sizes) * per_point * (e + 1) ** 2
+    entries, count = m.entries, 1
+    if not modp and work <= GRID_WORK_LIMIT:
+        entries, norms = _integer_rows(m), [0] * r
+        for (i, _), poly in entries.items():
+            norms[i] += sum(map(abs, poly.values()))
+        height = math.prod(sorted((max(n, 1) for n in norms), reverse=True)[:min(r, s)])
+        count = (2 * height).bit_length() // 30 + 1
+    if max(work, GRID_STACK_CELLS) * count > GRID_WORK_LIMIT:
         if m.nvars == 1 and max(r, s) <= BAREISS_MAX_SHAPE:
             rank = rank_laurent_bareiss(m, _work_limit=BAREISS_WORK_LIMIT)
             if rank is not None:
                 return RankReport(rank, True, Fraction(0))
         return rank_laurent_probabilistic(m, seed, _shifts=shifts)
-    points = itertools.product(*map(range, sizes))
+    # the budget keeps every D_k < 2^22 < p_i, so 0..D_k stay distinct mod p_i
+    primes = [m.field.p] if modp else list(
+        itertools.islice(filter(is_prime, range(MAX_PRIME - 1, 1 << 30, -1)), count))
+    terms = _cleared_terms(m, entries, shifts, primes)
+    # cells per point: stack slice, term products and monomial values
+    term_monos, per_var = terms[3:]
+    step = max(1, GRID_STACK_CELLS // ((r * s + len(term_monos) + len(per_var[0][1]) * e) * e))
     rank = 0
-    if modp:
-        p = m.field.p
+    for p in primes:
         cpow = _companion_powers(p, e)
-        terms = _cleared_terms(m, shifts)
         digits = np.array([[j // p ** l % p for l in range(e)] for j in range(max(sizes))])
-        # cells per point: stack slice, term products and monomial values
-        term_monos, per_var = terms[3:]
-        step = max(1, GRID_STACK_CELLS // ((r * s + len(term_monos) + len(per_var[0][1]) * e) * e))
+        points = itertools.product(*map(range, sizes))
         while rank < min(r, s) and (chunk := list(itertools.islice(points, step))):
             stack = _evaluate_stack(m, terms, digits[np.array(chunk).T], p, cpow)
             rank = max(rank, int(_rank_stack_modp(stack, p, cpow).max()))
-    else:
-        cleared = _integer_rows(m, shifts)
-        while rank < min(r, s) and (point := next(points, None)) is not None:
-            rank = max(rank, _rank_at_integers(m, cleared, point))
     return RankReport(rank, True, Fraction(0))

@@ -23,6 +23,7 @@ F3 = PrimeField(3)
 F5 = PrimeField(5)
 Q = Rationals()
 LIMIT = linalg.IRREDUCIBLE_SEARCH_LIMIT
+P31 = 2**31 - 1
 
 
 def dense(field, rows):
@@ -850,8 +851,7 @@ def test_rank_laurent_certifies_sparse_udv(field):
     # U.D.V as the bench builds it: U and V are monomial-scaled reversals
     # times unitriangular matrices with two units below the diagonal, D
     # holds six binomials.  Rank 6 of 8 is below full rank, so no single
-    # point certifies it; the grid of all points does over F_p, and over Q,
-    # where the grid is past its budget, capped Bareiss does.
+    # point certifies it; the grid of all points does, over every field.
     rng = random.Random(157)
 
     def unit():
@@ -933,12 +933,14 @@ def test_rank_laurent_grid_reaches_its_last_point(field, monkeypatch):
     assert rank_laurent(m) == rank_laurent(m2) == RankReport(2, True, Fraction(0))
 
 
-@pytest.mark.parametrize("field", [F2, F3, PrimeField(1000003), Q],
-                         ids=("F_2", "F_3", "F_1000003", "Q"))
-def test_rank_laurent_grid_matches_bareiss_and_minors(field, monkeypatch):
+@pytest.mark.parametrize("field, scales", [(F2, None), (F3, None), (PrimeField(1000003), None),
+                                           (Q, None), (Q, (1, P31, 2 * P31))],
+                         ids=("F_2", "F_3", "F_1000003", "Q", "Q-2^31-1"))
+def test_rank_laurent_grid_matches_bareiss_and_minors(field, scales, monkeypatch):
     # rank-deficient 4x4 products U V with exponents in [-1, 1]: below full
     # rank, so only the grid certifies them.  Some bivariate grids here
-    # cost more than the budget admits, so the budget is lifted
+    # cost more than the budget admits, so the budget is lifted.  Over Q,
+    # coefficients that are multiples of 2^31 - 1 vanish mod the first prime
     monkeypatch.setattr(linalg, "GRID_WORK_LIMIT", 1 << 40)
     rng = random.Random(163)
     for k in range(8):
@@ -946,7 +948,8 @@ def test_rank_laurent_grid_matches_bareiss_and_minors(field, monkeypatch):
         exps = list(itertools.product((-1, 0, 1), repeat=nvars))
 
         def poly():
-            terms = {e: field.normalize(rng.randint(1, 6)) for e in rng.sample(exps, 2)}
+            terms = {e: field.normalize(rng.randint(1, 6) * (rng.choice(scales) if scales else 1))
+                     for e in rng.sample(exps, 2)}
             return {e: v for e, v in terms.items() if not field.is_zero(v)}
 
         u = [[poly() for _ in range(inner)] for _ in range(4)]
@@ -987,6 +990,56 @@ def test_rank_laurent_budget_counts_evaluation(field):
     report = rank_laurent(m)
     assert time.perf_counter() - start < 1
     assert report.rank == 1 and not report.certified
+
+
+@pytest.mark.parametrize("grid, rank", [
+    ([[{(0,): 1}, {(1,): 1}], [{(0,): 1}, {(1,): 1, (0,): P31}]], 2),
+    ([[{(0,): 1}, {(1,): 1}], [{(0,): P31}, {(1,): P31}]], 1),
+    ([[{(0,): P31}, {(1,): P31}, {}], [{(0,): 2 * P31}, {(1,): 2 * P31}, {}], [{}, {}, {}]], 1),
+], ids=("det-2^31-1", "proportional", "empty-row"))
+def test_rank_laurent_q_grid_height_certificate(grid, rank):
+    # the Q grid is ranked modulo primes below 2^31, as many as the product
+    # of the largest row 1-norms asks for.  The first is 2^31 - 1: the
+    # determinant 2^31 - 1 vanishes mod it, and in the 3x3 both nonzero rows
+    # do, so ranking mod that prime alone gives 1 and 0.  The empty row
+    # counts 1 in the height, not 0, so the 3x3 still gets three primes
+    m = univariate(Q, [[{k: Q.normalize(v) for k, v in q.items()} for q in row] for row in grid])
+    assert rank_laurent(m) == RankReport(rank, True, Fraction(0))
+    assert rank_laurent_bareiss(m) == oracle_laurent_rank(m) == rank
+
+
+def test_rank_laurent_q_grid_runs_on_the_stack(monkeypatch):
+    # every point of a Q grid goes to _rank_stack_modp, modulo the two
+    # largest primes below 2^31 here, and no point to rank_plain
+    primes = []
+    stack = linalg._rank_stack_modp
+    monkeypatch.setattr(linalg, "_rank_stack_modp",
+                        lambda a, p, cpow: primes.append(p) or stack(a, p, cpow))
+    monkeypatch.setattr(linalg, "rank_plain", lambda m: pytest.fail("rank_plain ran"))
+    one, x = {(0,): Q.one}, {(1,): Q.one}
+    m = univariate(Q, [[one, x], [one, {(1,): Q.one, (0,): Q.normalize(P31)}]])
+    assert rank_laurent(m) == RankReport(2, True, Fraction(0))
+    assert list(dict.fromkeys(primes)) == [P31, 2147483629]
+
+
+def test_rank_laurent_q_grid_budget_counts_primes(monkeypatch):
+    # rows (f, f) and (1, 1), f with 121 terms of about 2^600 in x and y: the
+    # 11 x 11 grid fits the budget with one prime, but its height needs 21,
+    # so the trials answer, without a search for primes
+    monkeypatch.setattr(linalg, "is_prime", lambda n: pytest.fail("searched for primes"))
+    f = {(a, b): Q.normalize(2**600 + 7 * a + 3 * b) for a in range(11) for b in range(11)}
+    one = {(0, 0): Q.one}
+    m = LaurentMatrix(Q, 2, 2, 2, {(0, 0): f, (0, 1): dict(f), (1, 0): one, (1, 1): one})
+    start = time.perf_counter()
+    report = rank_laurent(m)
+    assert time.perf_counter() - start < 1
+    assert report.rank == 1 and not report.certified
+    assert report == rank_laurent_probabilistic(m)
+    # a grid of 3 points whose height needs 67 primes: each prime is charged
+    # at least a full stack, so the budget refuses it too
+    c = Q.normalize(2**2000)
+    small = univariate(Q, [[{(0,): c}, {(1,): c}], [{(0,): Q.one}, {(1,): Q.one}]])
+    assert rank_laurent(small).rank == 1
 
 
 def test_rank_plain_dispatcher():
