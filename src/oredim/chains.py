@@ -7,8 +7,11 @@ come from rank-nullity, never from explicit kernels:
 
     dim H_i = r_i * N - rank(c_i) - rank(c_(i+1))
 
-both at finite quotients (plain ranks over k) and over the fraction field
-of k[Z^d] (Laurent ranks).  Both come back as ``dimensions.Record`` rows:
+both at finite quotients and over the fraction field of k[Z^d] (Laurent
+ranks).  Quotient ranks come from one ``dimensions.quotient_ranker`` per
+differential: over Q on Z^d and D_inf a sum of ranks at the characters
+of the quotient, else the plain rank of the induced matrix.  Both kinds
+come back as ``dimensions.Record`` rows:
 ``ore-h{i}`` at level 0 with normalizer 1, and ``quotient-h{i}`` at each
 quotient level, normalized by its index.  Builders cover the standard
 desk examples: a circle wedge a d-sphere with a (d+1)-cell attached along
@@ -20,10 +23,10 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .dimensions import DEFAULT_QUOTIENT_LEVELS, Record, resolve_levels
+from .dimensions import DEFAULT_QUOTIENT_LEVELS, Record, quotient_ranker, resolve_levels
 from .errors import UnsupportedOperationError
 from .fields import Field, PrimeField, Rationals
-from .groupring import GroupRingElement, GroupRingMatrix, induce_to_quotient, to_laurent
+from .groupring import GroupRingElement, GroupRingMatrix, to_laurent
 from .groups import Group, Zd
 from .linalg import PlainMatrix, rank_laurent, rank_plain
 
@@ -73,14 +76,14 @@ def quotient_homology(complex_: FreeChainComplex,
     """``quotient-h{i}`` rows: homology dimensions of the induced complex,
     level by level and degree by degree within a level; ``levels``
     defaults to the group's ``DEFAULT_QUOTIENT_LEVELS``."""
+    rankers = [quotient_ranker(diff) for diff in complex_.differentials]
     rows = []
     for n in resolve_levels(levels, DEFAULT_QUOTIENT_LEVELS, complex_.group):
         quotient = complex_.group.quotient(n)
         idx = quotient.index
         ranks_of = [0] * (complex_.top + 2)
-        for i in range(1, complex_.top + 1):
-            diff = complex_.differential(i)
-            ranks_of[i] = rank_plain(induce_to_quotient(diff, quotient))
+        for i, rank in enumerate(rankers, start=1):
+            ranks_of[i] = rank(quotient)
         dims = tuple(complex_.ranks[i] * idx - ranks_of[i] - ranks_of[i + 1]
                      for i in range(complex_.top + 1))
         # Rank-nullity makes the alternating sums match identically.

@@ -17,6 +17,16 @@ matrix A:
   restriction to a whitelisted finite-index Z^d subgroup, normalized by
   the index.
 
+``quotient_ranker``, shared with ``chains.quotient_homology``, finds the
+rank of the induced matrix.  Over Q on Z^d and D_inf it never builds it:
+the rank is the sum over the characters of (Z/n)^d of the rank of A at
+each (``linalg.rank_by_characters``, certified modulo primes that split
+completely in Q(zeta_n)), D_inf going through its restriction to <z>.
+Over F_p, on the Heisenberg group, and at a level that route refuses (too
+few split primes, or more primes than the budget admits) the induced
+matrix is built and ranked by ``rank_plain``; it is the reference the
+route is tested against.
+
 Exact targets sit at level 0.  They take their rank from
 ``linalg.rank_laurent``; ``seed`` picks its evaluation points, and
 ``certified`` says whether the rank is proved.  Table rows are always
@@ -30,14 +40,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import UnsupportedOperationError
-from .groupring import (PresentedModule, Sublattice, TranslationSubgroup,
-                        compress_to_folner, induce_to_quotient,
-                        restrict_scalars, to_laurent)
-from .groups import Group, Zd
-from .linalg import rank_laurent, rank_plain
+from .fields import Rationals
+from .groupring import (GroupRingMatrix, PresentedModule, Sublattice,
+                        TranslationSubgroup, compress_to_folner,
+                        induce_to_quotient, restrict_scalars, to_laurent)
+from .groups import DihedralInfinite, FiniteQuotient, Group, Zd
+from .linalg import rank_by_characters, rank_laurent, rank_plain
 
 
 @dataclass(frozen=True)
@@ -99,15 +110,39 @@ def elek_truncation_dim(module: PresentedModule,
     return rows
 
 
+def quotient_ranker(matrix: GroupRingMatrix) -> Callable[[FiniteQuotient], int]:
+    """The rank over k of ``induce_to_quotient(matrix, quotient)``, as a
+    function of the quotient.
+
+    Over Q on Z^d, and on D_inf through its restriction to <z>, which is
+    made once here for every level, it is ``rank_by_characters`` at the
+    quotient's level: k[D_inf/<z^n>]^r is k[<z>/<z^n>]^(2r), and the induced
+    map is that of the restricted matrix.  Over F_p, on the Heisenberg
+    group, and at a level that route refuses, it is the rank of the
+    induced matrix.
+    """
+    laurent = None
+    if isinstance(matrix.field, Rationals):
+        if isinstance(matrix.group, Zd):
+            laurent = to_laurent(matrix)
+        elif isinstance(matrix.group, DihedralInfinite):
+            laurent = to_laurent(restrict_scalars(matrix, TranslationSubgroup())[0])
+
+    def rank(quotient: FiniteQuotient) -> int:
+        found = None if laurent is None else rank_by_characters(laurent, quotient.level)
+        return rank_plain(induce_to_quotient(matrix, quotient)) if found is None else found
+    return rank
+
+
 def quotient_betti_dim(module: PresentedModule,
                        levels: Optional[Sequence[int]] = None) -> List[Record]:
     """Normalized Betti numbers of the module along the residual chain;
     ``levels`` defaults to the group's ``DEFAULT_QUOTIENT_LEVELS``."""
+    rank = quotient_ranker(module.matrix)
     rows = []
     for n in resolve_levels(levels, DEFAULT_QUOTIENT_LEVELS, module.group):
         quotient = module.group.quotient(n)
-        induced = induce_to_quotient(module.matrix, quotient)
-        raw = module.generators * quotient.index - rank_plain(induced)
+        raw = module.generators * quotient.index - rank(quotient)
         rows.append(Record("quotient-betti", n, quotient.index, raw))
     return rows
 

@@ -24,6 +24,13 @@ the coset representatives.  That loop, like the ring arithmetic, only
 adds raw coefficients: the ``GroupRingMatrix`` and ``GroupRingElement``
 constructors reduce into the field and drop zeros.
 
+Over Q on Z^d and D_inf, ``dimensions.quotient_ranker`` ranks quotients
+without ``induce_to_quotient``: it hands ``to_laurent`` of the matrix (on
+D_inf, of its ``restrict_scalars`` to <z>, since k[D_inf/<z^n>]^r is
+k[<z>/<z^n>]^(2r) with the restricted map) to
+``linalg.rank_by_characters``.  The induced matrix stays the route for
+F_p, the Heisenberg group and the levels that one refuses.
+
 All plain matrices here act on row vectors, so the matrix of a composition
 is the product of the matrices in application order.
 """

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import betti_oracle, oracle_rank, random_zd_matrix
+from oredim import dimensions
 from oredim.chains import (FreeChainComplex, build_degree_p_attachment,
                            build_koszul, char_comparison, finite_group_betti,
                            homology_report, ore_homology, quotient_homology)
@@ -143,6 +144,16 @@ def test_koszul_quotient_is_torus_homology():
     for field in (F2, Q):
         rows = quotient_homology(build_koszul(2, field), [2, 3, 4, 6])
         assert by_level(rows) == {n: (n * n, (1, 2, 1)) for n in (2, 3, 4, 6)}
+
+
+def test_rational_quotient_homology_takes_the_character_route(monkeypatch):
+    # Z^2 and Z^3 over Q: no induced matrix is built, at any level
+    monkeypatch.setattr(dimensions, "induce_to_quotient",
+                        lambda *a: pytest.fail("induced matrix built"))
+    rows = quotient_homology(build_koszul(3, Q), [1, 2, 3])
+    assert by_level(rows) == {n: (n ** 3, (1, 3, 3, 1)) for n in (1, 2, 3)}
+    rows = quotient_homology(build_degree_p_attachment(2, 2, Q), [5, 6])
+    assert by_level(rows) == {n: (n, (1, 1, 0, 0)) for n in (5, 6)}
 
 
 def test_koszul_quotient_against_oracle():

@@ -4,19 +4,22 @@ from fractions import Fraction
 import pytest
 
 from helpers import oracle_rank, random_zd_matrix, unit_diagonal
+from oredim import dimensions, linalg
 from oredim.dimensions import (approx_report, elek_truncation_dim, ore_dim,
-                               quotient_betti_dim, virtual_ore_dim)
+                               quotient_betti_dim, quotient_ranker, virtual_ore_dim)
 from oredim.errors import UnsupportedOperationError
 from oredim.fields import PrimeField, Rationals
 from oredim.groupring import (GroupRingElement, GroupRingMatrix,
                               PresentedModule, Sublattice,
                               TranslationSubgroup, compress_to_folner,
-                              induce_to_quotient, restrict_scalars)
+                              induce_to_quotient, restrict_scalars, to_laurent)
 from oredim.groups import DihedralInfinite, Heisenberg, Zd
+from oredim.linalg import rank_plain
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+Q = Rationals()
 Z1 = Zd(1)
 Z2 = Zd(2)
 DINF = DihedralInfinite()
@@ -374,3 +377,87 @@ def test_empty_presentations():
     no_relations = module(F2, Z1, 0, 2, {})
     assert ore_dim(no_relations).normalized == 2
     assert elek_truncation_dim(no_relations, [3])[0].normalized == 2
+
+
+# -- the character route --------------------------------------------------------
+
+
+def random_presentation(rng, group, nrows, ncols, inner):
+    """A product U V over Q[group] with inner dimension ``inner``, so of
+    rank at most ``inner``; terms of U and V have coordinates in [-2, 2]."""
+    def element():
+        terms = {}
+        for _ in range(rng.randint(1, 2)):
+            g = (rng.randint(-2, 2), rng.randint(0, 1)) if group == DINF else \
+                tuple(rng.randint(-2, 2) for _ in range(group.d))
+            terms[g] = Fraction(rng.choice((1, -1, 2, 3, -5)), rng.choice((1, 1, 2, 3)))
+        return GroupRingElement(Q, group, terms)
+
+    u = GroupRingMatrix(Q, group, nrows, inner, {(i, j): element() for i in range(nrows)
+                                                 for j in range(inner) if rng.random() < 0.8})
+    v = GroupRingMatrix(Q, group, inner, ncols, {(i, j): element() for i in range(inner)
+                                                 for j in range(ncols) if rng.random() < 0.8})
+    return u.matmul(v)
+
+
+def test_character_route_matches_induced_matrix():
+    # Z^1..Z^3 and D_inf over Q, rank-deficient products included, at
+    # levels whose unit groups have several generators (12, 15, 24)
+    rng = random.Random(1801)
+    cases = [(Zd(1), (1, 2, 5, 12, 24)), (Z2, (1, 3, 4, 6)), (Zd(3), (2, 3)),
+             (DINF, (1, 2, 7, 15))]
+    for group, levels in cases:
+        for _ in range(6):
+            r, s = rng.randint(1, 3), rng.randint(1, 3)
+            matrix = random_presentation(rng, group, r, s, rng.randint(1, min(r, s)))
+            rank = quotient_ranker(matrix)
+            for n in levels:
+                quotient = group.quotient(n)
+                assert rank(quotient) == rank_plain(induce_to_quotient(matrix, quotient))
+
+
+def test_character_route_takes_no_induced_matrix(monkeypatch):
+    monkeypatch.setattr(dimensions, "induce_to_quotient",
+                        lambda *a: pytest.fail("induced matrix built"))
+    rows = quotient_betti_dim(plane_module(Q), [1, 2, 5])
+    assert [r.raw for r in rows] == [n * n + 1 for n in (1, 2, 5)]
+    # the zero matrix: every character has rank 0
+    assert [r.raw for r in quotient_betti_dim(module(Q, Z2, 2, 3, {}), [1, 4])] == [3, 48]
+
+
+def test_heisenberg_and_fp_quotients_take_the_induced_matrix(monkeypatch):
+    monkeypatch.setattr(dimensions, "rank_by_characters",
+                        lambda *a: pytest.fail("character route taken"))
+    heis = module(Q, HEIS, 1, 2, {(0, 0): GroupRingElement(Q, HEIS, {(1, 0, 0): 1, (0, 0, 0): -1}),
+                                  (0, 1): GroupRingElement(Q, HEIS, {(0, 1, 0): 1, (0, 0, 0): -1})})
+    assert [r.raw for r in quotient_betti_dim(heis, [2, 3])] == [8 + 1, 27 + 1]
+    assert [r.raw for r in quotient_betti_dim(plane_module(F3), [2, 3])] == [5, 10]
+
+
+def test_dihedral_module_is_restricted_once(monkeypatch):
+    calls = []
+    restrict = dimensions.restrict_scalars
+    monkeypatch.setattr(dimensions, "restrict_scalars",
+                        lambda *a: calls.append(a) or restrict(*a))
+    m = one_by_one(Q, DINF, {(0, 1): 1, (0, 0): 1})
+    rows = quotient_betti_dim(m, [2, 3, 4])
+    assert len(calls) == 1
+    # 1 + s has a kernel of half the quotient: s acts as an involution
+    assert [r.raw for r in rows] == [2, 3, 4]
+
+
+def test_character_route_falls_back_past_its_budget(monkeypatch):
+    # a height that needs more primes than the budget admits: the induced
+    # matrix answers
+    monkeypatch.setattr(linalg, "GRID_WORK_LIMIT", linalg.GRID_STACK_CELLS)
+    m = one_by_one(Q, Z1, {(1,): 2**40, (0,): -(2**40)})
+    assert linalg.rank_by_characters(to_laurent(m.matrix), 4) is None
+    assert [r.raw for r in quotient_betti_dim(m, [4, 6])] == [1, 1]
+
+
+def test_character_route_counts_cyclotomic_zeros():
+    # (z^2 + z + 1)(z^2 + 1) = Phi_3 Phi_4 vanishes exactly at the
+    # characters of order 3 and 4, phi(3) + phi(4) of them when 12 | n
+    m = one_by_one(Q, Z1, {(4,): 1, (3,): 1, (2,): 2, (1,): 1, (0,): 1})
+    rows = quotient_betti_dim(m, [5, 8, 9, 12, 24, 36])
+    assert [r.raw for r in rows] == [0, 2, 2, 4, 4, 4]

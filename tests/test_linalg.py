@@ -1042,6 +1042,20 @@ def test_rank_laurent_q_grid_budget_counts_primes(monkeypatch):
     assert rank_laurent(small).rank == 1
 
 
+def test_rank_laurent_refused_q_grid_clears_rows_once(monkeypatch):
+    # a Q grid refused at its real prime count hands its integer rows to
+    # the trials instead of clearing the matrix again
+    calls = []
+    rows = linalg._integer_rows
+    monkeypatch.setattr(linalg, "_integer_rows", lambda m: calls.append(m) or rows(m))
+    f = {(a, b): Q.normalize(Fraction(2**600 + 7 * a + 3 * b, 3)) for a in range(11) for b in range(11)}
+    one = {(0, 0): Q.one}
+    m = LaurentMatrix(Q, 2, 2, 2, {(0, 0): f, (0, 1): dict(f), (1, 0): one, (1, 1): one})
+    report = rank_laurent(m)
+    assert report.rank == 1 and not report.certified
+    assert calls == [m]
+
+
 def test_rank_plain_dispatcher():
     rng = random.Random(113)
     entries = {(rng.randrange(80), rng.randrange(80)): 1 for _ in range(200)}
@@ -1145,3 +1159,84 @@ def test_plain_matrix_validation():
     assert m.nnz == 0
     with pytest.raises(ValueError):
         LaurentMatrix(F2, 2, 1, 1, {(0, 0): {(1,): 1}})  # wrong exponent arity
+
+
+# -- ranks by characters --------------------------------------------------------
+
+@pytest.mark.parametrize("p", [3, 1000003, 2**31 - 19])
+def test_rank_stack_fp_branch_matches_block_path(p):
+    # a stack over F_p has the same ranks over F_{p^2}, where each entry x
+    # is the vector (x, 0) and the kernel takes the multiplication-block
+    # path.  Slices are products of rank at most ``inner``
+    # (factors below 2^15 keep the products exact), some columns zeroed
+    rng = np.random.default_rng(p % 1000)
+    top = min(p, 1 << 15)
+    for npts, r, s, inner in ((45, 12, 13, 12), (20, 10, 11, 4), (64, 3, 3, 2), (9, 5, 2, 1)):
+        stack = rng.integers(0, top, (npts, r, inner)) @ rng.integers(0, top, (inner, s)) % p
+        stack[::3, :, ::2] = 0
+        flat = linalg._rank_stack_modp(stack, p, linalg._companion_powers(p, 1))
+        embedded = np.stack([stack, np.zeros_like(stack)], axis=-1).reshape(npts, r, 2 * s)
+        assert (flat == linalg._rank_stack_modp(embedded, p, linalg._companion_powers(p, 2))).all()
+        assert flat.tolist() == [linalg._rank_dense_modp(a, p) for a in stack]
+
+
+@pytest.mark.parametrize("n, d", [(1, 2), (2, 3), (8, 1), (12, 2), (15, 2), (16, 2), (30, 1)])
+def test_orbit_max_matches_brute_force(n, d):
+    rng = np.random.default_rng(n * 10 + d)
+    best = rng.integers(0, 5, n ** d)
+    chars = np.indices((n,) * d).reshape(d, -1)
+    index = {tuple(a): k for k, a in enumerate(chars.T.tolist())}
+    units = [u for u in range(n) if np.gcd(u, n) == 1]
+    expect = [max(best[index[tuple(u * x % n for x in a)]] for u in units)
+              for a in chars.T.tolist()]
+    assert linalg._orbit_max(best.copy(), n, chars, 4).tolist() == expect
+    assert linalg._orbit_max(best.copy(), n, chars, 5).tolist() == expect
+
+
+def test_split_primes_are_the_largest_below_max_prime():
+    assert linalg._split_primes(1, 2) == (P31, 2147483629)
+    for n in (2, 12, 512, 1000):
+        primes = linalg._split_primes(n, 3)
+        assert len(primes) == 3 and list(primes) == sorted(primes, reverse=True)
+        assert all(linalg.is_prime(q) and q % n == 1 and 1 << 30 < q < 1 << 31 for q in primes)
+        skipped = range(primes[0] + n, 1 << 31, n)
+        assert not any(map(linalg.is_prime, skipped))
+    # 2^31 - 1 = 2 (2^30 - 1) + 1 is the only candidate for n = 2^30 - 1
+    assert linalg._split_primes(2**30 - 1, 2) == (P31,)
+
+
+def test_rank_by_characters_needs_its_primes():
+    # a height of 2^33 asks for two primes, and n = 2^30 - 1 has one
+    m = LaurentMatrix(Q, 1, 1, 1, {(0, 0): {(1,): Q.normalize(2**32), (0,): Q.one}})
+    assert linalg.rank_by_characters(m, 2**30 - 1) is None
+    with pytest.raises(TypeError):
+        linalg.rank_by_characters(LaurentMatrix(F3, 1, 1, 1, {}), 2)
+
+
+def test_rank_by_characters_maxes_over_unit_orbits():
+    # z - c, c = w^u mod l for w the order-16 root in F_l, l the one prime
+    # the height asks for: character u reads rank 0 modulo l, but its orbit
+    # under the units of Z/16 reads 1, the rank at every character over Q
+    n = 16
+    l = linalg._split_primes(n, 1)[0]
+    w = linalg._root_of_unity(n, l)
+    c = min(pow(w, u, l) for u in range(1, n, 2))
+    m = LaurentMatrix(Q, 1, 1, 1, {(0, 0): {(1,): Q.one, (0,): Q.normalize(-c)}})
+    assert linalg._height_primes(linalg._integer_rows(m), 1, 1) == 1
+    assert linalg.rank_by_characters(m, n) == n
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (4, 1), (6, 2)])
+def test_rank_by_characters_takes_every_prime_the_height_asks(n, d, monkeypatch):
+    # the constant entry l, the first prime = 1 (mod n), reads rank 0 at
+    # every character modulo l alone; its height asks for a second prime,
+    # which reads rank 1 everywhere
+    first = linalg._split_primes(n, 1)[0]
+    primes = []
+    stack = linalg._rank_stack_modp
+    monkeypatch.setattr(linalg, "_rank_stack_modp",
+                        lambda a, p, cpow: primes.append(p) or stack(a, p, cpow))
+    m = LaurentMatrix(Q, d, 1, 1, {(0, 0): {(0,) * d: Q.normalize(first)}})
+    assert linalg.rank_by_characters(m, n) == n ** d
+    assert list(dict.fromkeys(primes)) == list(linalg._split_primes(n, 2))
+    assert linalg.rank_by_characters(LaurentMatrix(Q, d, 2, 3, {}), n) == 0
