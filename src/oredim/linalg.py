@@ -18,12 +18,13 @@ Two matrix flavors:
 * ``LaurentMatrix`` -- matrices whose entries are Laurent polynomials in d
   commuting variables, i.e. matrices over the rational function field
   k(t_1..t_d).  ``rank_laurent`` certifies the rank on a grid of points when
-  the grid is small, ranked by ``_rank_stack_modp`` over F_{p^e} or, over Q,
-  modulo enough primes for a coefficient-height bound; else by capped
-  Bareiss elimination (``rank_laurent_bareiss``) on small univariate
-  matrices; else ``rank_laurent_probabilistic`` evaluates at random points
-  of F_{p^e} (random integers over Q) large enough that the Schwartz-Zippel
-  bound on losing rank is tiny, and reports that bound.
+  the grid is small; else by capped Bareiss elimination
+  (``rank_laurent_bareiss``) on small univariate matrices; else
+  ``rank_laurent_probabilistic`` evaluates at random points, three per
+  prime, and reports the Schwartz-Zippel bound on losing rank.  Both
+  evaluations are one scan (``_scan_rank``) of stacks for
+  ``_rank_stack_modp``: over F_{p^e}, or over Q modulo each of the primes
+  a coefficient-height bound asks for, each point with its own modulus.
 
 ``rank_by_characters`` ranks the matrix a Laurent matrix over Q induces on
 Q[(Z/n)^d] without building it: the sum over the n^d characters of the
@@ -65,8 +66,8 @@ SPARSE_FILL_LIMIT = 0.5
 
 # rank_laurent ranks on an evaluation grid when K * max(points * (r * s *
 # min(r, s) + GRID_TERM_WEIGHT * terms) * (e + 1)^2, GRID_STACK_CELLS) <=
-# GRID_WORK_LIMIT: K = 1 over F_{p^e}, over Q (e = 1) the primes, each scan
-# 0.2-0.3 ms at least.  A unit took 0.5-2.5 ns (one thread) on the bench's
+# GRID_WORK_LIMIT: K = 1 over F_{p^e}, over Q (e = 1) the primes, so a grid
+# takes at most 64 primes.  A unit took 0.5-2.5 ns (one thread) on the bench's
 # matrices and dense entries of up to 804 terms: a grid at the limit costs a
 # few ms.  Past it, univariate matrices up to BAREISS_MAX_SHAPE square try
 # Bareiss, which drops out after BAREISS_WORK_LIMIT term products (~140 ms
@@ -91,14 +92,6 @@ PROBABILISTIC_TRIALS = 3
 # (73, 13), (43, 15) and (43, 16), which it reaches at 269 to 605.
 IRREDUCIBLE_SEARCH_LIMIT = 256
 IRREDUCIBLE_BATCH = 8
-
-# A trial over Q raises integers up to 64*D to each exponent of the
-# row-cleared terms: its largest power has about top * bit_length(64*D)
-# bits, top the largest row degree (total degree of a cleared term).  On
-# [x^n + y] (top = n) the trials took 0.15 s at 1.03e6 bits (n = 47,000),
-# 0.53 s at 2.3e6 and 3.4 s at 7.5e6, one thread; bench Q matrices stay
-# under 100 bits.
-Q_POWER_BITS_LIMIT = 1 << 20
 
 
 class PlainMatrix:
@@ -174,23 +167,27 @@ def _rank_dense_modp(a: np.ndarray, p: int) -> int:
     return r
 
 
-def _rank_stack_modp(a: np.ndarray, p: int, cpow: np.ndarray) -> np.ndarray:
+def _rank_stack_modp(a: np.ndarray, p, cpow: np.ndarray) -> np.ndarray:
     """Ranks over F_{p^e} of a stack of matrices, one per slice.
 
     ``a`` is P x r x (s*e): in slice k, cell (i, j) is the coefficient
     vector a[k, i, j*e:(j+1)*e] of an element of F_{p^e} = F_p[x]/(f), and
     ``cpow`` is C^0..C^(e-1) for the companion matrix C of f
-    (``_companion_powers``; e = 1 is F_p itself).  One column loop serves
-    all slices.  At column c each slice's pivot is its first live row not
-    yet a pivot row (a mask, no swaps), and every other such live row
-    becomes row_i <- a_rc * row_i - a_ic * row_r: no inverse in F_{p^e},
-    both products e x e multiplication blocks applied by ``_matmul_mod``,
-    or over F_p itself elementwise products of residues, below 2^62.
+    (``_companion_powers``; e = 1 is F_p itself).  ``p`` is one int
+    modulus for all slices or, at e = 1, an int64 vector of one per slice,
+    so slices over different primes share one stack.  One column loop
+    serves all slices.  At column c each slice's pivot is its first live
+    row not yet a pivot row (a mask, no swaps), and every other such live
+    row becomes row_i <- a_rc * row_i - a_ic * row_r: no inverse in
+    F_{p^e}, both products e x e multiplication blocks applied by
+    ``_matmul_mod``, or over F_p itself elementwise products of residues,
+    below 2^62.
     """
     e = cpow.shape[0]
-    a = np.asarray(a, dtype=np.int64) % p
     npts, nrows = a.shape[:2]
-    a = a.reshape(npts, nrows, -1, e)
+    per_slice = isinstance(p, np.ndarray)
+    mods = p[:, None, None] if per_slice else p
+    a = (np.asarray(a, dtype=np.int64) % mods).reshape(npts, nrows, -1, e)
     slices = np.arange(npts)
     free = np.ones((npts, nrows), dtype=bool)
     ranks = np.zeros(npts, dtype=np.int64)
@@ -208,7 +205,7 @@ def _rank_stack_modp(a: np.ndarray, p: int, cpow: np.ndarray) -> np.ndarray:
             rest, prow = a[k, i, c + 1:], a[k, pivot[k], c + 1:]
             if e == 1:
                 a[k, i, c + 1:] = (rest * a[k, pivot[k], c][:, None]
-                                   - prow * a[k, i, c][:, None]) % p
+                                   - prow * a[k, i, c][:, None]) % (mods[k] if per_slice else p)
             else:
                 scale = _multiplication_blocks(a[slices, pivot, c], cpow, p)[k]
                 heads = _multiplication_blocks(a[k, i, c], cpow, p)
@@ -627,14 +624,18 @@ def _prime_factors(n: int):
     return out
 
 
-def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for residue arrays whose inner dimension n is at most 16.
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
+    """a @ b mod p for residue arrays whose inner dimension n is at most 16;
+    ``p`` is one modulus, or a vector of one per entry of a's first axis.
 
-    The plain product is exact while n * (p-1)^2 < 2^63.  Beyond that
-    (p near 2^31 with e >= 3) ``a`` is split at 2^16, which keeps every
-    partial sum below 2^51, so int64 never overflows.
+    The plain product is exact while n * (p-1)^2 < 2^63 for the largest p.
+    Beyond that (p near 2^31 with e >= 3) ``a`` is split at 2^16, which
+    keeps every partial sum below 2^51, so int64 never overflows.
     """
-    if a.shape[-1] * (p - 1) ** 2 < 2**63:
+    top = p
+    if isinstance(p, np.ndarray):
+        top, p = int(p.max()), p.reshape((-1,) + (1,) * (a.ndim - 1))
+    if a.shape[-1] * (top - 1) ** 2 < 2**63:
         return a @ b % p
     hi, lo = np.divmod(a, 1 << 16)
     return ((((hi @ b) % p) << 16) + lo @ b) % p
@@ -835,12 +836,13 @@ def _cleared_terms(m: LaurentMatrix, entries, shifts, primes):
     return cells, starts, columns, np.array(term_monos), per_var
 
 
-def _monomial_values(terms, xs: np.ndarray, p: int, cpow: np.ndarray) -> np.ndarray:
+def _monomial_values(terms, xs: np.ndarray, p, cpow: np.ndarray) -> np.ndarray:
     """The values at a stack of points of F_{p^e} of the monomials of
     ``terms`` (``_cleared_terms``), P x M x e; ``xs`` is d x P x e, point j
-    has t_k = xs[k, j].  Each distinct monomial is evaluated once per
-    point, through binary powers of each coordinate's multiplication
-    block."""
+    has t_k = xs[k, j].  ``p`` is the modulus, one int or, at e = 1, one
+    per point, as ``_rank_stack_modp`` takes it.  Each distinct monomial
+    is evaluated once per point, through binary powers of each
+    coordinate's multiplication block."""
     per_var = terms[4]
     vals = np.zeros((xs.shape[1], len(per_var[0][1]), cpow.shape[0]), dtype=np.int64)
     vals[..., 0] = 1
@@ -850,18 +852,36 @@ def _monomial_values(terms, xs: np.ndarray, p: int, cpow: np.ndarray) -> np.ndar
     return vals
 
 
-def _evaluate_stack(m: LaurentMatrix, terms, vals: np.ndarray, p: int) -> np.ndarray:
+def _evaluate_stack(m: LaurentMatrix, terms, vals: np.ndarray, p) -> np.ndarray:
     """The matrix of ``terms`` (``_cleared_terms`` of ``m``) at P points
-    where its monomials take the values ``vals`` (P x M x e), as the
-    P x r x (s*e) array ``_rank_stack_modp`` takes."""
+    where its monomials take the values ``vals`` (P x M x e), modulo ``p``
+    as ``_rank_stack_modp`` takes it, and in its P x r x (s*e) layout."""
     cells, starts, columns, term_monos, _ = terms
     npts, _, e = vals.shape
+    per_point = np.reshape(p, (-1, 1, 1))
     products = vals[:, term_monos]
-    products *= columns[p]
-    products %= p
+    products *= np.stack([columns[q] for q in per_point.ravel().tolist()])
+    products %= per_point
     out = np.zeros((npts, m.nrows * m.ncols, e), dtype=np.int64)
-    out[:, cells] = np.add.reduceat(products, starts, axis=1) % p
+    out[:, cells] = np.add.reduceat(products, starts, axis=1) % per_point
     return out.reshape(npts, m.nrows, m.ncols * e)
+
+
+def _scan_rank(m: LaurentMatrix, terms, xs: np.ndarray, p, cpow: np.ndarray,
+               step: int) -> int:
+    """The largest rank of ``m`` (its ``_cleared_terms``) over the points
+    ``xs`` (d x P x e), modulo ``p`` as ``_rank_stack_modp`` takes it:
+    stacks of ``step`` points, in order, until a point reaches min(r, s)."""
+    rank = 0
+    for start in range(0, xs.shape[1], step):
+        chunk = slice(start, start + step)
+        mods = p[chunk] if isinstance(p, np.ndarray) else p
+        vals = _monomial_values(terms, xs[:, chunk], mods, cpow)
+        stack = _evaluate_stack(m, terms, vals, mods)
+        rank = max(rank, int(_rank_stack_modp(stack, mods, cpow).max()))
+        if rank == min(m.nrows, m.ncols):
+            break
+    return rank
 
 
 def _integer_rows(m: LaurentMatrix):
@@ -1012,17 +1032,6 @@ def rank_by_characters(m: LaurentMatrix, n: int) -> Optional[int]:
     return int(best.sum())
 
 
-def _rank_at_integers(m: LaurentMatrix, entries, shifts, point) -> int:
-    """Rank over Q of the ``_integer_rows`` rows times their ``shifts`` at an integer point."""
-    evaluated = PlainMatrix(m.field, m.nrows, m.ncols)
-    for (i, j), poly in entries.items():
-        value = sum(c * math.prod(map(pow, point, map(operator.add, exp, shifts[i])))
-                    for exp, c in poly.items())
-        if value:
-            evaluated.entries[(i, j)] = value
-    return rank_plain(evaluated)
-
-
 @dataclass(frozen=True)
 class RankReport:
     """Outcome of a Laurent rank computation.
@@ -1040,7 +1049,7 @@ class RankReport:
 def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0, *,
                                _shifts=None, _rows=None) -> RankReport:
     """Schwartz-Zippel rank: evaluate at random points, take the max of
-    three trials.  Evaluation can only lower the rank, so a trial that
+    the trials.  Evaluation can only lower the rank, so a trial that
     reaches min(r, s) certifies it.
 
     Each row is first divided by its least monomial, the monomial whose
@@ -1050,20 +1059,20 @@ def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0, *,
     degree of its cleared terms, and a minor of the cleared matrix has total
     degree at most the sum of its rows' degrees.  So the nonzero minors have
     degree at most D, the sum of the min(r, s) largest row degrees, and a
-    uniformly random point from a sample space of size >= 64*D witnesses
-    full generic rank except with probability <= D/|space| per trial.  D = 0
-    means every row is a constant row times a monomial; the cleared matrix
-    is then constant and is ranked exactly.
+    uniformly random point of (S^*)^d, S a field, witnesses full generic
+    rank except with probability <= D/|S^*| per trial.  D = 0 means every
+    row is a constant row times a monomial; the cleared matrix is then
+    constant and is ranked exactly.
 
-    Over F_p the points lie in F_{p^e}, e the least degree with
-    p^e - 1 >= 64*D, and the three trials are one ``_rank_stack_modp`` stack.
-
-    Over Q the points are integers and the powers of the cleared exponents
-    exact, so a matrix whose largest such power would pass
-    Q_POWER_BITS_LIMIT bits is refused.  Each row is also scaled, once, by
-    the lcm of its denominators, a nonzero integer that changes no trial's
-    rank; a trial then sums plain ints, which ``rank_sparse`` takes as
-    exact rationals.
+    Over F_p the three trials are points of F_{p^e}, e the least degree
+    with p^e - 1 >= 64*D.  Over Q each row is scaled by the lcm of its
+    denominators (``_integer_rows``), which changes no rank, and the three
+    trials are taken modulo each of the K primes l of the Q grid's height
+    bound (``_height_primes``), at points of F_l.  Every coefficient of a
+    minor is at most H in size and prod l > 2H, so some l leaves a nonzero
+    minor nonzero, and each trial modulo that l misses it with probability
+    <= D/(l - 1): the bound is (D/(l_min - 1))^3.  All trials are one
+    stack, prime by prime, for ``_scan_rank``.
 
     ``_shifts`` is ``_clearing_shifts(m)`` and, over Q, ``_rows`` is
     ``_integer_rows(m)`` when the caller has them already.
@@ -1081,35 +1090,22 @@ def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0, *,
         const = PlainMatrix(m.field, r, s,
                             {k: next(iter(p.values())) for k, p in m.entries.items()})
         return RankReport(rank_plain(const), True, Fraction(0))
-    target = SCHWARTZ_ZIPPEL_MARGIN * degree_bound
-    rngs = [random.Random(seed * 1_000_003 + k + 1) for k in range(PROBABILISTIC_TRIALS)]
     if isinstance(m.field, PrimeField):
         p = m.field.p
-        e = next(k for k in itertools.count(1) if p ** k > target)
+        e = next(k for k in itertools.count(1) if p ** k > SCHWARTZ_ZIPPEL_MARGIN * degree_bound)
         if e > 16:
             raise UnsupportedOperationError(
                 f"extension degree {e} beyond the supported table (p={p})")
-        sample_size = p ** e - 1
-        cpow = _companion_powers(p, e)
-        points = [[_random_nonzero(rng, p, e) for _ in range(m.nvars)] for rng in rngs]
-        xs = np.array(points).transpose(1, 0, 2)
-        terms = _cleared_terms(m, m.entries, shifts, [p])
-        stack = _evaluate_stack(m, terms, _monomial_values(terms, xs, p, cpow), p)
-        best = int(_rank_stack_modp(stack, p, cpow).max())
+        entries, primes, mods, sample_size = m.entries, [p], p, p ** e - 1
     else:
-        bits = max(row_degrees) * target.bit_length()
-        if bits > Q_POWER_BITS_LIMIT:
-            raise UnsupportedOperationError(
-                f"evaluating this matrix over Q needs powers of about {bits} bits, "
-                f"beyond the limit of {Q_POWER_BITS_LIMIT}")
-        sample_size = target
-        entries = _integer_rows(m) if _rows is None else _rows
-        best = 0
-        for rng in rngs:
-            point = [rng.randrange(1, target + 1) for _ in range(m.nvars)]
-            best = max(best, _rank_at_integers(m, entries, shifts, point))
-            if best == min(r, s):
-                break
+        e, entries = 1, _integer_rows(m) if _rows is None else _rows
+        primes = _split_primes(1, _height_primes(entries, r, s))
+        mods, sample_size = np.repeat(primes, PROBABILISTIC_TRIALS), primes[-1] - 1
+    rngs = [random.Random(seed * 1_000_003 + k + 1) for k in range(PROBABILISTIC_TRIALS)]
+    points = [[_random_nonzero(rng, p, e) for _ in range(m.nvars)] for p in primes for rng in rngs]
+    best = _scan_rank(m, _cleared_terms(m, entries, shifts, primes),
+                      np.array(points).transpose(1, 0, 2), mods,
+                      _companion_powers(primes[0], e), len(points))
     if best == min(r, s):
         return RankReport(best, True, Fraction(0))
     bound = Fraction(degree_bound, sample_size) ** PROBABILISTIC_TRIALS
@@ -1127,16 +1123,17 @@ def rank_laurent(m: LaurentMatrix, seed: int = 0) -> RankReport:
     every minor has degree at most D_k in t_k.  Such a polynomial that
     vanishes on a grid S_1 x .. x S_d with |S_k| = D_k + 1 is zero (Alon,
     Combinatorial Nullstellensatz, Combin. Probab. Comput. 8, 1999, Lemma
-    2.1), so the largest rank over the grid is the rank, certified; the scan
-    stops once a point reaches min(r, s).  ``_rank_stack_modp`` ranks the
-    points: over F_p, S_k holds the digit vectors of 0..D_k in the least
-    F_{p^e} with p^e > max D_k.  Over Q, S_k = 0..D_k and the integer-cleared
-    rows are taken mod K primes p_i in (2^30, 2^31), K = bits(2H) // 30 + 1
-    for H the product of the min(r, s) largest row 1-norms (an empty row
-    counts 1), so prod p_i > 2H.  A point of rank rho mod p_i shows a
-    nonzero integer rho-minor; if none passes rho, each p_i divides (Alon
-    over F_{p_i}) every coefficient of every (rho+1)-minor, at most H in
-    size, so they are 0 (the small-primes method: von zur Gathen and
+    2.1), so the largest rank over the grid is the rank, certified.
+    ``_scan_rank`` ranks the points, like the trials, and stops once one
+    reaches min(r, s).  Over F_p, S_k holds the digit vectors of 0..D_k in
+    the least F_{p^e} with p^e > max D_k.  Over Q, S_k = 0..D_k and the
+    integer-cleared rows are taken mod K primes p_i in (2^30, 2^31), K =
+    bits(2H) // 30 + 1 for H the product of the min(r, s) largest row
+    1-norms (an empty row counts 1), so prod p_i > 2H; the scan runs over
+    the (p_i, point) pairs, prime by prime.  A point of rank rho mod p_i
+    shows a nonzero integer rho-minor; if none passes rho, each p_i divides
+    (Alon over F_{p_i}) every coefficient of every (rho+1)-minor, at most H
+    in size, so they are 0 (the small-primes method: von zur Gathen and
     Gerhard, Modern Computer Algebra, ch. 5).  The budget (GRID_WORK_LIMIT)
     counts evaluation and elimination, each prime as at least a full stack
     (GRID_STACK_CELLS).  Past it, univariate matrices up to BAREISS_MAX_SHAPE
@@ -1175,13 +1172,10 @@ def rank_laurent(m: LaurentMatrix, seed: int = 0) -> RankReport:
     # cells per point: stack slice, term products and monomial values
     term_monos, per_var = terms[3:]
     step = max(1, GRID_STACK_CELLS // ((r * s + len(term_monos) + len(per_var[0][1]) * e) * e))
-    rank = 0
-    cpow = _companion_powers(primes[0], e)  # one prime over F_p, e = 1 over Q
-    for p in primes:
-        digits = np.array([[j // p ** l % p for l in range(e)] for j in range(max(sizes))])
-        points = itertools.product(*map(range, sizes))
-        while rank < min(r, s) and (chunk := list(itertools.islice(points, step))):
-            vals = _monomial_values(terms, digits[np.array(chunk).T], p, cpow)
-            stack = _evaluate_stack(m, terms, vals, p)
-            rank = max(rank, int(_rank_stack_modp(stack, p, cpow).max()))
+    p = primes[0]  # over Q, e = 1 and every digit vector is (j,)
+    digits = np.array([[j // p ** l % p for l in range(e)] for j in range(max(sizes))])
+    grid = np.indices(sizes).reshape(len(sizes), -1)
+    mods = p if modp else np.repeat(primes, grid.shape[1])
+    rank = _scan_rank(m, terms, digits[np.tile(grid, len(primes))], mods,
+                      _companion_powers(p, e), step)
     return RankReport(rank, True, Fraction(0))

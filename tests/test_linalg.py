@@ -11,7 +11,6 @@ from helpers import (cleared_minor_degree, first_irreducible, first_rabin_candid
                      oracle_laurent_rank, oracle_rank, oracle_rank_ext, oracle_rank_q,
                      polymulmod, rabin_irreducible)
 from oredim import linalg
-from oredim.errors import UnsupportedOperationError
 from oredim.fields import PrimeField, Rationals
 from oredim.linalg import (LaurentMatrix, PlainMatrix, RankReport, poly_add,
                            poly_divexact, poly_monomial_shift, poly_mul, rank_dense,
@@ -136,10 +135,17 @@ def test_rank_plain_over_q_runs_only_markowitz(monkeypatch):
     assert rank_plain(m) == oracle_rank_q(rows) == 12
     assert calls == ["rank_sparse"]
     calls.clear()
+    # the rational Schwartz-Zippel trials run on the F_p stack, so no plain
+    # kernel ranks them; a constant cleared matrix is ranked exactly by
+    # rank_sparse
     laurent = LaurentMatrix(Q, 1, 2, 2, {(0, 0): {(1,): Fraction(1, 2)}, (0, 1): {(0,): 3},
                                          (1, 0): {(0,): 1}, (1, 1): {(-1,): 6}})
     assert rank_laurent_probabilistic(laurent).rank == 1
-    assert calls == ["rank_sparse"] * linalg.PROBABILISTIC_TRIALS
+    assert calls == []
+    constant = LaurentMatrix(Q, 1, 2, 2, {(0, 0): {(1,): Fraction(1, 2)}, (0, 1): {(1,): 3},
+                                          (1, 0): {(0,): 1}, (1, 1): {(0,): 6}})
+    assert rank_laurent_probabilistic(constant) == RankReport(1, True, Fraction(0))
+    assert calls == ["rank_sparse"]
 
 
 def test_rank_dense_huge_prime_matches_bigint_oracle():
@@ -702,7 +708,7 @@ def test_probabilistic_rational_field():
 
 
 def test_probabilistic_rational_matches_minor_oracle_with_negative_exponents():
-    # the Q trials evaluate the row-cleared terms at integer points
+    # the Q trials evaluate the integer-cleared terms at points of F_l
     rng = random.Random(157)
     for k in range(10):
         entries = {}
@@ -717,15 +723,32 @@ def test_probabilistic_rational_matches_minor_oracle_with_negative_exponents():
         assert rank_laurent_probabilistic(m, seed=k).rank == oracle_laurent_rank(m)
 
 
-def test_probabilistic_rational_power_limit_reads_cleared_exponents():
-    # x^-n + x^n has total degree n, but clearing the row makes it 1 + x^(2n):
-    # D = 2n, and a trial raises points near 64 * 2n to the 2n-th power
+def test_probabilistic_rational_high_degree_is_certified():
+    # x^-n + x^n cleared is 1 + x^(2n): the trials raise points of F_l to
+    # powers up to 2n by binary powering, so the degree costs no more than
+    # its bit length
     n = 30000
     m = LaurentMatrix(Q, 1, 1, 1, {(0, 0): {(-n,): 1, (n,): 1}})
-    bits = 2 * n * (64 * 2 * n).bit_length()
-    assert n * (64 * n).bit_length() <= linalg.Q_POWER_BITS_LIMIT < bits
-    with pytest.raises(UnsupportedOperationError, match=f"{bits} bits"):
-        rank_laurent_probabilistic(m)
+    assert rank_laurent_probabilistic(m) == RankReport(1, True, Fraction(0))
+
+
+def test_probabilistic_rational_takes_every_prime_the_height_asks():
+    # the determinant 2^31 - 1 vanishes modulo the first height prime, so
+    # trials modulo that prime alone read rank 1; the height asks for two
+    m = univariate(Q, [[{(0,): Q.one}, {(1,): Q.one}],
+                       [{(0,): Q.one}, {(1,): Q.one, (0,): Q.normalize(P31)}]])
+    assert linalg._height_primes(linalg._integer_rows(m), 2, 2) == 2
+    assert rank_laurent_probabilistic(m) == RankReport(2, True, Fraction(0))
+
+
+def test_probabilistic_rational_failure_bound_reads_the_least_prime():
+    # rank 1 with D = 1 and one height prime l = 2^31 - 1: three trials at
+    # points of F_l^* each miss with probability at most 1/(l - 1)
+    f = {(0,): Q.one, (1,): Q.one}
+    m = univariate(Q, [[f, dict(f)], [{(0,): Q.one}, {(0,): Q.one}]])
+    report = rank_laurent_probabilistic(m)
+    assert report.rank == 1 and not report.certified
+    assert report.failure_bound == Fraction(1, P31 - 1) ** 3
 
 
 def test_probabilistic_never_exceeds_bareiss():
@@ -1013,27 +1036,43 @@ def test_rank_laurent_q_grid_runs_on_the_stack(monkeypatch):
     # largest primes below 2^31 here, and no point to rank_plain
     primes = []
     stack = linalg._rank_stack_modp
-    monkeypatch.setattr(linalg, "_rank_stack_modp",
-                        lambda a, p, cpow: primes.append(p) or stack(a, p, cpow))
+    monkeypatch.setattr(linalg, "_rank_stack_modp", lambda a, p, cpow: primes.extend(
+        np.broadcast_to(p, len(a)).tolist()) or stack(a, p, cpow))
     monkeypatch.setattr(linalg, "rank_plain", lambda m: pytest.fail("rank_plain ran"))
     one, x = {(0,): Q.one}, {(1,): Q.one}
     m = univariate(Q, [[one, x], [one, {(1,): Q.one, (0,): Q.normalize(P31)}]])
     assert rank_laurent(m) == RankReport(2, True, Fraction(0))
     assert list(dict.fromkeys(primes)) == [P31, 2147483629]
+    # a bivariate matrix past the grid budget goes to the trials, which
+    # run on the stack too
+    f = {(a, b): Q.normalize(2**600 + 7 * a + 3 * b) for a in range(11) for b in range(11)}
+    one = {(0, 0): Q.one}
+    big = LaurentMatrix(Q, 2, 2, 2, {(0, 0): f, (0, 1): dict(f), (1, 0): one, (1, 1): one})
+    primes.clear()
+    report = rank_laurent(big)
+    assert report.rank == 1 and not report.certified
+    count = linalg._height_primes(linalg._integer_rows(big), 2, 2)
+    assert primes == np.repeat(linalg._split_primes(1, count),
+                               linalg.PROBABILISTIC_TRIALS).tolist()
 
 
 def test_rank_laurent_q_grid_budget_counts_primes(monkeypatch):
     # rows (f, f) and (1, 1), f with 121 terms of about 2^600 in x and y: the
     # 11 x 11 grid fits the budget with one prime, but its height needs 21,
-    # so the trials answer, without a search for primes
-    monkeypatch.setattr(linalg, "is_prime", lambda n: pytest.fail("searched for primes"))
+    # so the trials answer, and no stack of grid points is ranked
+    sizes = []
+    stack = linalg._rank_stack_modp
+    monkeypatch.setattr(linalg, "_rank_stack_modp",
+                        lambda a, p, cpow: sizes.append(len(a)) or stack(a, p, cpow))
     f = {(a, b): Q.normalize(2**600 + 7 * a + 3 * b) for a in range(11) for b in range(11)}
     one = {(0, 0): Q.one}
     m = LaurentMatrix(Q, 2, 2, 2, {(0, 0): f, (0, 1): dict(f), (1, 0): one, (1, 1): one})
+    assert linalg._height_primes(linalg._integer_rows(m), 2, 2) == 21
     start = time.perf_counter()
     report = rank_laurent(m)
     assert time.perf_counter() - start < 1
     assert report.rank == 1 and not report.certified
+    assert sizes == [21 * linalg.PROBABILISTIC_TRIALS]
     assert report == rank_laurent_probabilistic(m)
     # a grid of 3 points whose height needs 67 primes: each prime is charged
     # at least a full stack, so the budget refuses it too
@@ -1180,6 +1219,22 @@ def test_rank_stack_fp_branch_matches_block_path(p):
         assert flat.tolist() == [linalg._rank_dense_modp(a, p) for a in stack]
 
 
+def test_rank_stack_mixed_moduli_match_each_slice_alone():
+    # at e = 1 each slice has its own modulus: small, medium and the three
+    # largest primes below 2^31, interleaved; products of rank at most
+    # ``inner`` with zeroed columns, as above
+    rng = np.random.default_rng(41)
+    moduli = [3, 1000003, *linalg._split_primes(1, 3)]
+    cpow = linalg._companion_powers(3, 1)
+    for npts, r, s, inner in ((45, 12, 13, 12), (20, 10, 11, 4), (64, 3, 3, 2), (9, 5, 2, 1)):
+        p = np.array([moduli[k % len(moduli)] for k in range(npts)], dtype=np.int64)
+        stack = rng.integers(0, 1 << 15, (npts, r, inner)) @ rng.integers(0, 1 << 15, (inner, s))
+        stack[::3, :, ::2] = 0
+        alone = [int(linalg._rank_stack_modp(a[None], q, cpow)[0]) for a, q in zip(stack, p)]
+        assert linalg._rank_stack_modp(stack, p, cpow).tolist() == alone
+        assert alone == [linalg._rank_dense_modp(a, int(q)) for a, q in zip(stack, p)]
+
+
 @pytest.mark.parametrize("n, d", [(1, 2), (2, 3), (8, 1), (12, 2), (15, 2), (16, 2), (30, 1)])
 def test_orbit_max_matches_brute_force(n, d):
     rng = np.random.default_rng(n * 10 + d)
@@ -1234,8 +1289,8 @@ def test_rank_by_characters_takes_every_prime_the_height_asks(n, d, monkeypatch)
     first = linalg._split_primes(n, 1)[0]
     primes = []
     stack = linalg._rank_stack_modp
-    monkeypatch.setattr(linalg, "_rank_stack_modp",
-                        lambda a, p, cpow: primes.append(p) or stack(a, p, cpow))
+    monkeypatch.setattr(linalg, "_rank_stack_modp", lambda a, p, cpow: primes.extend(
+        np.broadcast_to(p, len(a)).tolist()) or stack(a, p, cpow))
     m = LaurentMatrix(Q, d, 1, 1, {(0, 0): {(0,) * d: Q.normalize(first)}})
     assert linalg.rank_by_characters(m, n) == n ** d
     assert list(dict.fromkeys(primes)) == list(linalg._split_primes(n, 2))
