@@ -8,12 +8,12 @@ Two matrix flavors:
   one kernel for Q.  It computes on plain Python ints over both fields:
   residues over F_p, and over Q rows cleared to primitive integer vectors
   and updated fraction-free, which scales rows by nonzero constants only
-  and so keeps every pivot of elimination over Q itself.  ``rank_dense``
-  is Gaussian elimination on a numpy int64 array, over F_p only:
-  ``rank_plain`` sends small or dense F_p matrices to it, and
-  ``rank_sparse`` hands it the rest of an F_p elimination once fill-in
-  passes 50% of the remaining block.  Its kernel, ``_rank_dense_modp``,
-  is the dense eliminator over F_p.
+  and so keeps every pivot of elimination over Q itself.  ``rank_plain``
+  sends every matrix to it.  ``rank_dense`` is Gaussian elimination on a
+  numpy int64 array, over F_p only; ``rank_sparse`` hands it the rest of
+  an F_p elimination once fill-in passes SPARSE_FILL_LIMIT of the live
+  block, which is the one way a plain rank reaches it.  Its kernel,
+  ``_rank_dense_modp``, is the dense eliminator over F_p.
 
 * ``LaurentMatrix`` -- matrices whose entries are Laurent polynomials in d
   commuting variables, i.e. matrices over the rational function field
@@ -53,25 +53,29 @@ from .fields import MAX_PRIME, Field, PrimeField, RawScalar, is_prime
 
 Poly = Dict[Tuple[int, ...], RawScalar]
 
-# Crossover between the elimination kernels, measured single-threaded on
-# CPython 3.11 / numpy 2.4.  On the quotient matrices of [z1-1, z2-1] over
-# F_3, rank_sparse is at least as fast as rank_dense from 16x32 up (0.25 ms
-# vs 0.34 ms; 14 ms vs 81 ms at 1024x2048) and slower only on the smallest
-# (4x8: 0.16 ms vs 0.07 ms).  On uniformly random F_3 matrices fill swamps
-# the sparse phase: dense is 2-2.5x faster at density 0.1-0.3 from 64x64
-# to 256x256, and about even at density 0.05.
-DENSE_ENTRY_LIMIT = 4096
-DENSE_DENSITY_LIMIT = 0.2
+# rank_sparse hands an F_p elimination to rank_dense once a live block of
+# two or more rows is more than SPARSE_FILL_LIMIT full.  Measured
+# single-threaded on CPython 3.11 / numpy 2.4: on the quotient matrices of
+# [z1-1, z2-1] over F_3, rank_sparse is at least as fast as rank_dense from 16x32 up (0.25 ms vs
+# 0.34 ms; 14 ms vs 81 ms at 1024x2048).  On uniformly random F_3 matrices
+# fill swamps the sparse phase: dense is 2-2.5x faster at density 0.1-0.3
+# from 64x64 to 256x256, and about even at density 0.05.  No size or
+# density test picks a kernel up front: on the bench at seed 7, the small
+# or dense matrices such a test sent to rank_dense ranked faster through
+# rank_sparse, whose fill check densifies the dense ones at once (best of
+# 5 each: fp-tables, 27 matrices, 12.6 -> 6.7 ms; q-tables, 89, 13.1 ->
+# 6.7 ms).
 SPARSE_FILL_LIMIT = 0.5
 
-# rank_laurent ranks on an evaluation grid when K * max(points * (r * s *
+# rank_laurent ranks on an evaluation grid when max(K * points * (r * s *
 # min(r, s) + GRID_TERM_WEIGHT * terms) * (e + 1)^2, GRID_STACK_CELLS) <=
-# GRID_WORK_LIMIT: K = 1 over F_{p^e}, over Q (e = 1) the primes, so a grid
-# takes at most 64 primes.  A unit took 0.5-2.5 ns (one thread) on the bench's
-# matrices and dense entries of up to 804 terms: a grid at the limit costs a
-# few ms.  Past it, univariate matrices up to BAREISS_MAX_SHAPE square try
-# Bareiss, which drops out after BAREISS_WORK_LIMIT term products (~140 ms
-# at most).  A stacked grid call holds at most GRID_STACK_CELLS int64 cells.
+# GRID_WORK_LIMIT: K = 1 over F_{p^e}, over Q (e = 1) the primes, whose
+# points share one scan, so one stack is the floor.  A unit took 0.5-2.5 ns
+# (one thread) on the bench's matrices and dense entries of up to 804 terms:
+# a grid at the limit costs a few ms.  Past it, univariate matrices up to
+# BAREISS_MAX_SHAPE square try Bareiss, which drops out after
+# BAREISS_WORK_LIMIT term products (~140 ms at most).  A stacked grid call
+# holds at most GRID_STACK_CELLS int64 cells.
 GRID_WORK_LIMIT = 1 << 22
 GRID_TERM_WEIGHT = 16
 BAREISS_MAX_SHAPE = 8
@@ -256,9 +260,9 @@ def rank_sparse(m: PlainMatrix) -> int:
     Bareiss's fraction-free elimination, primitive rows keep entries
     bounded by the minors.  Both only multiply rows by nonzero constants,
     so every zero pattern, hence every pivot and the rank, is that of
-    elimination over the field itself.  Over F_p, once the live block
-    densifies past SPARSE_FILL_LIMIT, the remainder goes to ``rank_dense``;
-    over Q the elimination runs to the end.
+    elimination over the field itself.  Over F_p, once a live block of two
+    or more rows densifies past SPARSE_FILL_LIMIT, the remainder goes to
+    ``rank_dense``; over Q the elimination runs to the end.
     """
     field = m.field
     modp = isinstance(field, PrimeField)
@@ -283,7 +287,8 @@ def rank_sparse(m: PlainMatrix) -> int:
     live_cols = len(cols)
     rank = 0
     while rows:
-        if modp and nnz > SPARSE_FILL_LIMIT * len(rows) * live_cols:
+        # a last live row fills its block but is one pivot, not a dense job
+        if modp and len(rows) > 1 and nnz > SPARSE_FILL_LIMIT * len(rows) * live_cols:
             return rank + _densify_rank(field, rows)
         pi, pj = _markowitz_pivot(rows, cols, row_bins, col_bins)
         # Take the pivot row and every column it touches out of their
@@ -405,12 +410,8 @@ def _densify_rank(field, rows) -> int:
 
 
 def rank_plain(m: PlainMatrix) -> int:
-    """Rank of a plain matrix: ``rank_dense`` for small or dense matrices
-    over F_p, ``rank_sparse`` for every other one, and so for all of Q."""
-    if isinstance(m.field, PrimeField) and (
-            m.nrows * m.ncols <= DENSE_ENTRY_LIMIT
-            or m.nnz > DENSE_DENSITY_LIMIT * m.nrows * m.ncols):
-        return rank_dense(m)
+    """Rank of a plain matrix over F_p or Q, by ``rank_sparse``; over F_p
+    its fill check hands a block past SPARSE_FILL_LIMIT to ``rank_dense``."""
     return rank_sparse(m)
 
 
@@ -815,8 +816,9 @@ def _cleared_terms(m: LaurentMatrix, entries, shifts, primes):
 
     Returns the flat cell index of each nonzero entry and the offset of
     its first term; for each p in ``primes`` the terms' coefficients mod p
-    (a column); each term's monomial index; and per variable, the distinct
-    exponents it takes with the position of each monomial's among them.
+    (a column); each term's monomial index, the monomials numbered from 0
+    in order of first use; and per variable, the distinct exponents it
+    takes with the position of each monomial's among them.
     """
     monos: Dict[Tuple[int, ...], int] = {}
     cells, starts, coeffs, term_monos = [], [], [], []
@@ -843,8 +845,8 @@ def _monomial_values(terms, xs: np.ndarray, p, cpow: np.ndarray) -> np.ndarray:
     per point, as ``_rank_stack_modp`` takes it.  Each distinct monomial
     is evaluated once per point, through binary powers of each
     coordinate's multiplication block."""
-    per_var = terms[4]
-    vals = np.zeros((xs.shape[1], len(per_var[0][1]), cpow.shape[0]), dtype=np.int64)
+    term_monos, per_var = terms[3:]
+    vals = np.zeros((xs.shape[1], term_monos.max() + 1, cpow.shape[0]), dtype=np.int64)
     vals[..., 0] = 1
     for values, (exps, where) in zip(xs, per_var):
         powers = _matrix_powers(_multiplication_blocks(values, cpow, p), exps, p)
@@ -994,8 +996,9 @@ def rank_by_characters(m: LaurentMatrix, n: int) -> Optional[int]:
     contradiction.  So rho_a is exact, with no probabilistic step.
 
     Falls back (None) when the range holds fewer than K primes l = 1 (mod
-    n), or when K * GRID_STACK_CELLS > GRID_WORK_LIMIT (K > 64), the budget
-    of the Q Laurent grid with each prime charged a full stack.  N is not
+    n), or when K * GRID_STACK_CELLS > GRID_WORK_LIMIT (K > 64): each prime
+    has its own root of unity and table of its powers, so the primes are
+    scanned one by one, and each scan is charged a full stack.  N is not
     charged: the route's cost is linear in N, and on 2 x 2 matrices with
     30- and 300-bit coefficients at N = 512 it took 1.4 and 8.5 ms against
     94 and 1,928 ms for the induced matrix (one thread).
@@ -1036,9 +1039,10 @@ def rank_by_characters(m: LaurentMatrix, n: int) -> Optional[int]:
 class RankReport:
     """Outcome of a Laurent rank computation.
 
-    ``certified`` is False exactly when randomized evaluation found less
-    than full rank; ``failure_bound`` then bounds the probability that the
-    true rank is larger.
+    ``failure_bound`` bounds the probability that the true rank is larger;
+    ``certified`` is ``failure_bound == 0``.  It is False exactly when
+    randomized evaluation found less than full rank on a matrix whose
+    degree bound is not 0.
     """
 
     rank: int
@@ -1061,8 +1065,8 @@ def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0, *,
     degree at most D, the sum of the min(r, s) largest row degrees, and a
     uniformly random point of (S^*)^d, S a field, witnesses full generic
     rank except with probability <= D/|S^*| per trial.  D = 0 means every
-    row is a constant row times a monomial; the cleared matrix is then
-    constant and is ranked exactly.
+    row is a constant row times a monomial: the cleared matrix is constant,
+    every trial ranks it exactly, and the bound is 0.
 
     Over F_p the three trials are points of F_{p^e}, e the least degree
     with p^e - 1 >= 64*D.  Over Q each row is scaled by the lcm of its
@@ -1072,7 +1076,8 @@ def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0, *,
     minor is at most H in size and prod l > 2H, so some l leaves a nonzero
     minor nonzero, and each trial modulo that l misses it with probability
     <= D/(l - 1): the bound is (D/(l_min - 1))^3.  All trials are one
-    stack, prime by prime, for ``_scan_rank``.
+    stack, prime by prime, for ``_scan_rank``.  The report is certified
+    when the bound is 0: at full rank, or when D = 0.
 
     ``_shifts`` is ``_clearing_shifts(m)`` and, over Q, ``_rows`` is
     ``_integer_rows(m)`` when the caller has them already.
@@ -1085,17 +1090,13 @@ def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0, *,
     for (i, _), poly in m.entries.items():
         row_degrees[i] = max(row_degrees[i], sum(shifts[i]) + max(map(sum, poly)))
     degree_bound = sum(sorted(row_degrees, reverse=True)[:min(r, s)])
-    if degree_bound == 0:
-        # every cleared row is constant: rank the one-term entries exactly
-        const = PlainMatrix(m.field, r, s,
-                            {k: next(iter(p.values())) for k, p in m.entries.items()})
-        return RankReport(rank_plain(const), True, Fraction(0))
     if isinstance(m.field, PrimeField):
         p = m.field.p
         e = next(k for k in itertools.count(1) if p ** k > SCHWARTZ_ZIPPEL_MARGIN * degree_bound)
         if e > 16:
             raise UnsupportedOperationError(
-                f"extension degree {e} beyond the supported table (p={p})")
+                f"degree bound D={degree_bound} needs trial points in F_{{{p}^{e}}}; extension "
+                f"degrees stop at 16, where _matmul_mod's int64 products stay exact")
         entries, primes, mods, sample_size = m.entries, [p], p, p ** e - 1
     else:
         e, entries = 1, _integer_rows(m) if _rows is None else _rows
@@ -1104,12 +1105,11 @@ def rank_laurent_probabilistic(m: LaurentMatrix, seed: int = 0, *,
     rngs = [random.Random(seed * 1_000_003 + k + 1) for k in range(PROBABILISTIC_TRIALS)]
     points = [[_random_nonzero(rng, p, e) for _ in range(m.nvars)] for p in primes for rng in rngs]
     best = _scan_rank(m, _cleared_terms(m, entries, shifts, primes),
-                      np.array(points).transpose(1, 0, 2), mods,
-                      _companion_powers(primes[0], e), len(points))
-    if best == min(r, s):
-        return RankReport(best, True, Fraction(0))
-    bound = Fraction(degree_bound, sample_size) ** PROBABILISTIC_TRIALS
-    return RankReport(best, False, min(bound, Fraction(1)))
+                      np.array(points).reshape(len(points), m.nvars, e).transpose(1, 0, 2),
+                      mods, _companion_powers(primes[0], e), len(points))
+    bound = Fraction(0) if best == min(r, s) else min(
+        Fraction(degree_bound, sample_size) ** PROBABILISTIC_TRIALS, Fraction(1))
+    return RankReport(best, bound == 0, bound)
 
 
 def rank_laurent(m: LaurentMatrix, seed: int = 0) -> RankReport:
@@ -1123,22 +1123,24 @@ def rank_laurent(m: LaurentMatrix, seed: int = 0) -> RankReport:
     every minor has degree at most D_k in t_k.  Such a polynomial that
     vanishes on a grid S_1 x .. x S_d with |S_k| = D_k + 1 is zero (Alon,
     Combinatorial Nullstellensatz, Combin. Probab. Comput. 8, 1999, Lemma
-    2.1), so the largest rank over the grid is the rank, certified.
-    ``_scan_rank`` ranks the points, like the trials, and stops once one
-    reaches min(r, s).  Over F_p, S_k holds the digit vectors of 0..D_k in
-    the least F_{p^e} with p^e > max D_k.  Over Q, S_k = 0..D_k and the
-    integer-cleared rows are taken mod K primes p_i in (2^30, 2^31), K =
-    bits(2H) // 30 + 1 for H the product of the min(r, s) largest row
-    1-norms (an empty row counts 1), so prod p_i > 2H; the scan runs over
-    the (p_i, point) pairs, prime by prime.  A point of rank rho mod p_i
-    shows a nonzero integer rho-minor; if none passes rho, each p_i divides
-    (Alon over F_{p_i}) every coefficient of every (rho+1)-minor, at most H
-    in size, so they are 0 (the small-primes method: von zur Gathen and
-    Gerhard, Modern Computer Algebra, ch. 5).  The budget (GRID_WORK_LIMIT)
-    counts evaluation and elimination, each prime as at least a full stack
-    (GRID_STACK_CELLS).  Past it, univariate matrices up to BAREISS_MAX_SHAPE
-    square try capped ``rank_laurent_bareiss``, exact on few terms of high
-    degree, and ``rank_laurent_probabilistic`` the rest.
+    2.1), so the largest rank over the grid is the rank, certified.  A
+    matrix that is constant once cleared, or has no variables, has a grid
+    of one point.  ``_scan_rank`` ranks the points, like the trials, and
+    stops once one reaches min(r, s).  Over F_p, S_k holds the digit vectors
+    of 0..D_k in the least F_{p^e} with p^e > max D_k.  Over Q, S_k = 0..D_k
+    and the integer-cleared rows are taken mod K primes p_i in (2^30,
+    2^31), K = bits(2H) // 30 + 1 for H the product of the min(r, s)
+    largest row 1-norms (an empty row counts 1), so prod p_i > 2H; the scan
+    runs over the (p_i, point) pairs, prime by prime.  A point of rank rho
+    mod p_i shows a nonzero integer rho-minor; if none passes rho, each p_i
+    divides (Alon over F_{p_i}) every coefficient of every (rho+1)-minor,
+    at most H in size, so they are 0 (the small-primes method: von zur
+    Gathen and Gerhard, Modern Computer Algebra, ch. 5).  The budget
+    (GRID_WORK_LIMIT) counts evaluation and elimination at every (prime,
+    point) pair, with a full stack (GRID_STACK_CELLS) as the floor of the
+    one scan.  Past it, univariate matrices up to BAREISS_MAX_SHAPE square
+    try capped ``rank_laurent_bareiss``, exact on few terms of high degree,
+    and ``rank_laurent_probabilistic`` the rest.
     """
     r, s = m.nrows, m.ncols
     if min(r, s) <= 1 or not m.entries:
@@ -1149,18 +1151,16 @@ def rank_laurent(m: LaurentMatrix, seed: int = 0) -> RankReport:
         tops[i] = tuple(map(max, tops.get(i, next(iter(poly))), *poly))
     cleared_tops = [tuple(map(operator.add, top, shifts[i])) for i, top in tops.items()]
     sizes = [1 + sum(sorted(col, reverse=True)[:min(r, s)]) for col in zip(*cleared_tops)]
-    if max(sizes, default=1) == 1:
-        # constant once cleared, which the trials rank exactly
-        return rank_laurent_probabilistic(m, seed, _shifts=shifts)
+    largest, npts = max(sizes, default=1), math.prod(sizes)  # d = 0: one point
     modp = isinstance(m.field, PrimeField)
-    e = next(k for k in itertools.count(1) if not modp or m.field.p ** k >= max(sizes))
+    e = next(k for k in itertools.count(1) if not modp or m.field.p ** k >= largest)
     per_point = r * s * min(r, s) + GRID_TERM_WEIGHT * sum(map(len, m.entries.values()))
-    work = math.prod(sizes) * per_point * (e + 1) ** 2
+    work = npts * per_point * (e + 1) ** 2
     rows, count = None, 1
     if not modp and work <= GRID_WORK_LIMIT:
         rows = _integer_rows(m)
         count = _height_primes(rows, r, s)
-    if max(work, GRID_STACK_CELLS) * count > GRID_WORK_LIMIT:
+    if max(work * count, GRID_STACK_CELLS) > GRID_WORK_LIMIT:
         if m.nvars == 1 and max(r, s) <= BAREISS_MAX_SHAPE:
             rank = rank_laurent_bareiss(m, _work_limit=BAREISS_WORK_LIMIT)
             if rank is not None:
@@ -1170,12 +1170,12 @@ def rank_laurent(m: LaurentMatrix, seed: int = 0) -> RankReport:
     primes = [m.field.p] if modp else _split_primes(1, count)
     terms = _cleared_terms(m, m.entries if modp else rows, shifts, primes)
     # cells per point: stack slice, term products and monomial values
-    term_monos, per_var = terms[3:]
-    step = max(1, GRID_STACK_CELLS // ((r * s + len(term_monos) + len(per_var[0][1]) * e) * e))
+    term_monos = terms[3]
+    step = max(1, GRID_STACK_CELLS // ((r * s + len(term_monos) + int(term_monos.max() + 1) * e) * e))
     p = primes[0]  # over Q, e = 1 and every digit vector is (j,)
-    digits = np.array([[j // p ** l % p for l in range(e)] for j in range(max(sizes))])
-    grid = np.indices(sizes).reshape(len(sizes), -1)
-    mods = p if modp else np.repeat(primes, grid.shape[1])
+    digits = np.array([[j // p ** l % p for l in range(e)] for j in range(largest)])
+    grid = np.indices(sizes).reshape(len(sizes), npts)
+    mods = p if modp else np.repeat(primes, npts)
     rank = _scan_rank(m, terms, digits[np.tile(grid, len(primes))], mods,
                       _companion_powers(p, e), step)
     return RankReport(rank, True, Fraction(0))

@@ -430,3 +430,16 @@ def test_ore_q_sparse_high_degree_is_certified(tmp_path, capsys):
     assert time.perf_counter() - start < 2
     assert code == 0
     assert out.splitlines()[1] == "ore,0,1,1,1/1,true"
+
+
+def test_ore_extension_degree_past_16_exit_3(tmp_path, capsys):
+    # rows (x^1100 + y, x^1100 + y) and (1, y) over F_2: the grid is past
+    # the budget and the trials would need F_{2^17}
+    f = GroupRingElement(F2, Zd(2), {(1100, 0): 1, (0, 1): 1})
+    one = GroupRingElement(F2, Zd(2), {(0, 0): 1})
+    y = GroupRingElement(F2, Zd(2), {(0, 1): 1})
+    matrix = GroupRingMatrix(F2, Zd(2), 2, 2, {(0, 0): f, (0, 1): f, (1, 0): one, (1, 1): y})
+    path = write_json(tmp_path / "deep.json", encode_matrix(matrix))
+    code, out, err = run(capsys, ["ore", "--input", path])
+    assert code == 3 and out == ""
+    assert "D=1101" in err and "F_{2^17}" in err and "16" in err

@@ -11,6 +11,7 @@ from helpers import (cleared_minor_degree, first_irreducible, first_rabin_candid
                      oracle_laurent_rank, oracle_rank, oracle_rank_ext, oracle_rank_q,
                      polymulmod, rabin_irreducible)
 from oredim import linalg
+from oredim.errors import UnsupportedOperationError
 from oredim.fields import PrimeField, Rationals
 from oredim.linalg import (LaurentMatrix, PlainMatrix, RankReport, poly_add,
                            poly_divexact, poly_monomial_shift, poly_mul, rank_dense,
@@ -136,8 +137,8 @@ def test_rank_plain_over_q_runs_only_markowitz(monkeypatch):
     assert calls == ["rank_sparse"]
     calls.clear()
     # the rational Schwartz-Zippel trials run on the F_p stack, so no plain
-    # kernel ranks them; a constant cleared matrix is ranked exactly by
-    # rank_sparse
+    # kernel ranks them, nor a constant cleared matrix, which every trial
+    # ranks exactly
     laurent = LaurentMatrix(Q, 1, 2, 2, {(0, 0): {(1,): Fraction(1, 2)}, (0, 1): {(0,): 3},
                                          (1, 0): {(0,): 1}, (1, 1): {(-1,): 6}})
     assert rank_laurent_probabilistic(laurent).rank == 1
@@ -145,7 +146,7 @@ def test_rank_plain_over_q_runs_only_markowitz(monkeypatch):
     constant = LaurentMatrix(Q, 1, 2, 2, {(0, 0): {(1,): Fraction(1, 2)}, (0, 1): {(1,): 3},
                                           (1, 0): {(0,): 1}, (1, 1): {(0,): 6}})
     assert rank_laurent_probabilistic(constant) == RankReport(1, True, Fraction(0))
-    assert calls == ["rank_sparse"]
+    assert calls == []
 
 
 def test_rank_dense_huge_prime_matches_bigint_oracle():
@@ -1074,11 +1075,27 @@ def test_rank_laurent_q_grid_budget_counts_primes(monkeypatch):
     assert report.rank == 1 and not report.certified
     assert sizes == [21 * linalg.PROBABILISTIC_TRIALS]
     assert report == rank_laurent_probabilistic(m)
-    # a grid of 3 points whose height needs 67 primes: each prime is charged
-    # at least a full stack, so the budget refuses it too
+    # a grid of 3 points whose height needs 67 primes: the primes share one
+    # scan, so the budget charges 3 x 67 (prime, point) pairs, and the grid
+    # certifies the rank
     c = Q.normalize(2**2000)
     small = univariate(Q, [[{(0,): c}, {(1,): c}], [{(0,): Q.one}, {(1,): Q.one}]])
-    assert rank_laurent(small).rank == 1
+    assert linalg._height_primes(linalg._integer_rows(small), 2, 2) == 67
+    assert rank_laurent(small) == RankReport(1, True, Fraction(0))
+
+
+def test_rank_laurent_q_grid_budget_charges_one_stack_per_scan(monkeypatch):
+    # the 3 x 3 grid of [[c, c xy], [1, xy]], c = 2^2000, modulo its 67
+    # height primes: 603 slices in one scan, within the budget
+    slices = []
+    stack = linalg._rank_stack_modp
+    monkeypatch.setattr(linalg, "_rank_stack_modp",
+                        lambda a, p, cpow: slices.append(len(a)) or stack(a, p, cpow))
+    c = Q.normalize(2**2000)
+    m = LaurentMatrix(Q, 2, 2, 2, {(0, 0): {(0, 0): c}, (0, 1): {(1, 1): c},
+                                   (1, 0): {(0, 0): Q.one}, (1, 1): {(1, 1): Q.one}})
+    assert rank_laurent(m) == RankReport(1, True, Fraction(0))
+    assert sum(slices) == 9 * 67
 
 
 def test_rank_laurent_refused_q_grid_clears_rows_once(monkeypatch):
@@ -1095,11 +1112,45 @@ def test_rank_laurent_refused_q_grid_clears_rows_once(monkeypatch):
     assert calls == [m]
 
 
-def test_rank_plain_dispatcher():
+def test_rank_plain_dispatcher(monkeypatch):
     rng = random.Random(113)
     entries = {(rng.randrange(80), rng.randrange(80)): 1 for _ in range(200)}
     m = PlainMatrix(F2, 80, 80, entries)
     assert rank_plain(m) == rank_dense(m) == rank_sparse(m) == oracle_rank(m.to_dense(), F2)
+    # rank_plain goes through rank_sparse alone, and only its fill check
+    # reaches rank_dense: a dense matrix at once, as the whole block, and
+    # a sparse one not at all
+    calls = []
+    for name in ("rank_dense", "rank_sparse"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name,
+                            lambda m, name=name, real=real: calls.append((name, m)) or real(m))
+    full = dense(F5, [[rng.randrange(1, 5) for _ in range(8)] for _ in range(8)])
+    assert rank_plain(full) == oracle_rank(full.to_dense(), F5)
+    assert calls == [("rank_sparse", full), ("rank_dense", full)]
+    calls.clear()
+    sparse = PlainMatrix(F3, 6, 7, {(i, i): 1 + i % 2 for i in range(6)} | {(0, 6): 1, (3, 5): 2})
+    assert rank_plain(sparse) == oracle_rank(sparse.to_dense(), F3) == 6
+    assert calls == [("rank_sparse", sparse)]
+
+
+@pytest.mark.parametrize("field", [F2, Q], ids=("F_2", "Q"))
+def test_rank_laurent_no_variables(field):
+    # a constant matrix in no variables is its grid's one point, and every
+    # trial ranks it exactly
+    one = {(): field.one}
+    m = LaurentMatrix(field, 0, 2, 2, {(0, 0): one, (0, 1): one, (1, 0): one, (1, 1): one})
+    assert rank_laurent(m) == rank_laurent_probabilistic(m) == RankReport(1, True, Fraction(0))
+
+
+def test_probabilistic_refuses_extension_degree_past_16():
+    # D = 1101 asks for F_{2^17}, past the 16 coefficients _matmul_mod keeps
+    # exact in int64; its 1101 x 3 grid is past the budget
+    f = {(1100, 0): 1, (0, 1): 1}
+    m = LaurentMatrix(F2, 2, 2, 2, {(0, 0): f, (0, 1): dict(f),
+                                    (1, 0): {(0, 0): 1}, (1, 1): {(0, 1): 1}})
+    with pytest.raises(UnsupportedOperationError, match=r"D=1101 .*F_\{2\^17\}.* 16"):
+        rank_laurent(m)
 
 
 # -- extension fields -----------------------------------------------------------
