@@ -67,15 +67,14 @@ Poly = Dict[Tuple[int, ...], RawScalar]
 # 6.7 ms).
 SPARSE_FILL_LIMIT = 0.5
 
-# rank_laurent ranks on an evaluation grid when max(K * points * (r * s *
-# min(r, s) + GRID_TERM_WEIGHT * terms) * (e + 1)^2, GRID_STACK_CELLS) <=
-# GRID_WORK_LIMIT: K = 1 over F_{p^e}, over Q (e = 1) the primes, whose
-# points share one scan, so one stack is the floor.  A unit took 0.5-2.5 ns
-# (one thread) on the bench's matrices and dense entries of up to 804 terms:
-# a grid at the limit costs a few ms.  Past it, univariate matrices up to
-# BAREISS_MAX_SHAPE square try Bareiss, which drops out after
-# BAREISS_WORK_LIMIT term products (~140 ms at most).  A stacked grid call
-# holds at most GRID_STACK_CELLS int64 cells.
+# rank_laurent ranks on an evaluation grid when K * points * (r * s *
+# min(r, s) + GRID_TERM_WEIGHT * terms) * (e + 1)^2 <= GRID_WORK_LIMIT:
+# K = 1 over F_{p^e}, over Q (e = 1) the primes, whose points share one
+# scan.  A unit took 0.5-2.5 ns (one thread) on the bench's matrices and
+# dense entries of up to 804 terms: a grid at the limit costs a few ms.
+# Past it, univariate matrices up to BAREISS_MAX_SHAPE square try Bareiss,
+# which drops out after BAREISS_WORK_LIMIT term products (~140 ms at
+# most).  A stacked grid call holds at most GRID_STACK_CELLS int64 cells.
 GRID_WORK_LIMIT = 1 << 22
 GRID_TERM_WEIGHT = 16
 BAREISS_MAX_SHAPE = 8
@@ -85,16 +84,17 @@ GRID_STACK_CELLS = 1 << 16
 SCHWARTZ_ZIPPEL_MARGIN = 64
 PROBABILISTIC_TRIALS = 3
 
-# Candidates _find_irreducible tests in lex order, then as many at random,
-# IRREDUCIBLE_BATCH at a time.  Rabin's test takes 0.3 ms per batch at
-# (p, e) = (1000003, 4) and 0.8 ms at (2^31-1, 4), one thread, so a search
-# that tests all 512 candidates takes about 20 and 50 ms.  numpy's batched
-# int64 products slow down as the batch grows: over the 31 moduli of a
-# laurent-targets round (seed 7) batches of 1, 4, 8, 16, 32 and 256 took
-# 19, 9-10, 10, 12-14, 16-23 and 27 ms.  For p <= 101, e <= 16 lex order
-# finds one within 218 candidates except at (89, 9), (89, 12), (89, 13),
-# (73, 13), (43, 15) and (43, 16), which it reaches at 269 to 605.
-IRREDUCIBLE_SEARCH_LIMIT = 256
+# _find_irreducible draws at most IRREDUCIBLE_SEARCH_LIMIT random candidates,
+# IRREDUCIBLE_BATCH (a divisor of it) at a time.  Measured single-threaded
+# on CPython 3.11 / numpy 2.4: Rabin's test takes 0.3 ms per batch at
+# (p, e) = (1000003, 4), 0.8 ms at (2^31-1, 4) and 4.9 ms at (2^31-1, 16),
+# so a search that tests all 512 candidates takes about 20, 50 and 310 ms.
+# Every prime p <= 101 with 2 <= e <= 16, and p = 1000003 and 2^31-1 with
+# the same e, finds one within 81 candidates (median 5), all 420 searches
+# in 0.28 s.  numpy's batched int64 products slow down as the batch grows:
+# over the 12 moduli of a laurent-targets round (seed 7) batches of 1, 4,
+# 8, 16 and 32 took 10.9, 4.4, 3.0, 3.0 and 3.3 ms.
+IRREDUCIBLE_SEARCH_LIMIT = 512
 IRREDUCIBLE_BATCH = 8
 
 
@@ -659,57 +659,28 @@ def _find_irreducible(p: int, e: int):
     """A monic irreducible of degree e over F_p (coefficients, constant term
     first), the same on every run for a given (p, e).
 
-    The first IRREDUCIBLE_SEARCH_LIMIT candidates are in lex order of the
-    coefficient tuple (constant term varies fastest); as many random monic
-    ones, seeded by (p, e), follow.  Lex order alone stalls where a family
-    is all reducible, such as every x^4 + c for p = 3 (mod 4); about one
-    random candidate in e is irreducible.
-
-    Candidates with a root at 0, 1 or -1 have a linear factor and are
-    skipped, and so are the binomials x^e + c where none is irreducible.
-    By Capelli's theorem x^e - a is irreducible over F_p iff a is no q-th
-    power for every prime q | e, and a is not in -4 F_p^4 when 4 | e.  Every
-    a is a q-th power when q does not divide p - 1, and every a that is not
-    a square lies in -4 F_p^4 when 4 does not divide p - 1.  Skipped
-    candidates still count against the limit, so no (p, e) changes its
-    polynomial.  Both filters are array tests on each phase's candidates;
-    the survivors go, IRREDUCIBLE_BATCH at a time and in order, to
-    ``_rabin_passes``, and the first that passes is returned.
+    The candidates are IRREDUCIBLE_SEARCH_LIMIT random monic polynomials
+    from random.Random(f"{p}:{e}"), drawn IRREDUCIBLE_BATCH at a time;
+    about one in e is irreducible (von zur Gathen and Gerhard, Modern
+    Computer Algebra, ch. 14).  Those with a root at 0, 1 or -1 have a
+    linear factor and are skipped; the rest of each batch go to
+    ``_rabin_passes``, and the first in order that passes is returned.
     """
     if e == 1:
         return [0, 1]
     primes = _prime_factors(e)
-    no_binomial = (any((p - 1) % q for q in primes)
-                   or (e % 4 == 0 and (p - 1) % 4 != 0))
     rng = random.Random(f"{p}:{e}")
-
-    def lex():
-        rest, digits = np.arange(min(p ** e, IRREDUCIBLE_SEARCH_LIMIT)), []
-        for _ in range(e):
-            rest, digit = np.divmod(rest, p)
-            digits.append(digit)
-        return np.stack(digits, axis=1)
-
-    def drawn():
-        return np.array([[rng.randrange(p) for _ in range(e)]
-                         for _ in range(IRREDUCIBLE_SEARCH_LIMIT)], dtype=np.int64)
-
     signs = (-1) ** np.arange(e + 1)
-    for phase in (lex, drawn):
-        low = phase()
-        f = np.column_stack([low, np.ones(len(low), dtype=np.int64)])
-        keep = (f[:, 0] != 0) & (f.sum(axis=1) % p != 0) & (f @ signs % p != 0)
-        if no_binomial:
-            keep &= f[:, 1:e].any(axis=1)
-        survivors = f[keep]
-        for start in range(0, len(survivors), IRREDUCIBLE_BATCH):
-            batch = survivors[start:start + IRREDUCIBLE_BATCH]
-            passed = _rabin_passes(batch, p, primes)
-            if passed.any():
-                return batch[passed.argmax()].tolist()
+    for _ in range(IRREDUCIBLE_SEARCH_LIMIT // IRREDUCIBLE_BATCH):
+        f = np.array([[rng.randrange(p) for _ in range(e)] + [1]
+                      for _ in range(IRREDUCIBLE_BATCH)], dtype=np.int64)
+        f = f[(f[:, 0] != 0) & (f.sum(axis=1) % p != 0) & (f @ signs % p != 0)]
+        passed = _rabin_passes(f, p, primes)
+        if passed.any():
+            return f[passed.argmax()].tolist()
     raise UnsupportedOperationError(
         f"no irreducible of degree {e} over F_{p} among "
-        f"{2 * IRREDUCIBLE_SEARCH_LIMIT} candidates")
+        f"{IRREDUCIBLE_SEARCH_LIMIT} candidates")
 
 
 def _rabin_passes(f: np.ndarray, p: int, primes) -> np.ndarray:
@@ -1137,10 +1108,9 @@ def rank_laurent(m: LaurentMatrix, seed: int = 0) -> RankReport:
     at most H in size, so they are 0 (the small-primes method: von zur
     Gathen and Gerhard, Modern Computer Algebra, ch. 5).  The budget
     (GRID_WORK_LIMIT) counts evaluation and elimination at every (prime,
-    point) pair, with a full stack (GRID_STACK_CELLS) as the floor of the
-    one scan.  Past it, univariate matrices up to BAREISS_MAX_SHAPE square
-    try capped ``rank_laurent_bareiss``, exact on few terms of high degree,
-    and ``rank_laurent_probabilistic`` the rest.
+    point) pair.  Past it, univariate matrices up to BAREISS_MAX_SHAPE
+    square try capped ``rank_laurent_bareiss``, exact on few terms of high
+    degree, and ``rank_laurent_probabilistic`` the rest.
     """
     r, s = m.nrows, m.ncols
     if min(r, s) <= 1 or not m.entries:
@@ -1160,7 +1130,7 @@ def rank_laurent(m: LaurentMatrix, seed: int = 0) -> RankReport:
     if not modp and work <= GRID_WORK_LIMIT:
         rows = _integer_rows(m)
         count = _height_primes(rows, r, s)
-    if max(work * count, GRID_STACK_CELLS) > GRID_WORK_LIMIT:
+    if work * count > GRID_WORK_LIMIT:
         if m.nvars == 1 and max(r, s) <= BAREISS_MAX_SHAPE:
             rank = rank_laurent_bareiss(m, _work_limit=BAREISS_WORK_LIMIT)
             if rank is not None:

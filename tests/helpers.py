@@ -161,29 +161,16 @@ def poly_rem(a, mod, p):
     return (a + [0] * dm)[:dm]
 
 
-def polymulmod(a, b, mod, p):
+def polymul(a, b, p):
     prod = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             prod[i + j] = (prod[i + j] + x * y) % p
-    return poly_rem(prod, mod, p)
+    return prod
 
 
-def monic_polys(p, d):
-    """Monic polynomials of degree d over F_p, constant term varying
-    fastest."""
-    for k in range(p ** d):
-        yield [k // p ** i % p for i in range(d)] + [1]
-
-
-def first_irreducible(p, e):
-    """First monic polynomial of degree e, in ``monic_polys`` order, with no
-    monic factor of degree 1..e//2, by trial division."""
-    for f in monic_polys(p, e):
-        if all(any(poly_rem(f, g, p)) for d in range(1, e // 2 + 1)
-               for g in monic_polys(p, d)):
-            return f
-    return None
+def polymulmod(a, b, mod, p):
+    return poly_rem(polymul(a, b, p), mod, p)
 
 
 def polypowmod(a, n, mod, p):
@@ -233,15 +220,29 @@ def rabin_irreducible(f, p):
 
 def first_rabin_candidate(p, e, limit):
     """First polynomial passing ``rabin_irreducible``, tested one at a time,
-    among the candidates ``_find_irreducible`` walks: the first ``limit``
-    of ``monic_polys``, then ``limit`` draws of e coefficients each from
-    random.Random(f"{p}:{e}")."""
+    among the candidates ``_find_irreducible`` walks: ``limit`` draws of e
+    coefficients each from random.Random(f"{p}:{e}"), made monic."""
     rng = random.Random(f"{p}:{e}")
-    drawn = ([rng.randrange(p) for _ in range(e)] + [1] for _ in range(limit))
-    for f in itertools.chain(itertools.islice(monic_polys(p, e), limit), drawn):
+    for _ in range(limit):
+        f = [rng.randrange(p) for _ in range(e)] + [1]
         if rabin_irreducible(f, p):
             return f
     return None
+
+
+def irreducible_by_trial_division(f, p):
+    """Whether the monic f of degree e over F_p has no monic factor of
+    degree 1..e//2.  The divisors of each degree k are tried all at once:
+    x^(p^k) - x is the product of every monic irreducible whose degree
+    divides k, so f has such a factor iff gcd(x^(p^k) - x, f) is not 1.
+    Unlike Rabin's test, every k up to e//2 is tried."""
+    x = poly_rem([0, 1], f, p)
+    power = x
+    for _ in range((len(f) - 1) // 2):
+        power = polypowmod(power, p, f, p)
+        if polygcd([(c - d) % p for c, d in zip(power, x)], f, p) != [1]:
+            return False
+    return True
 
 
 def oracle_rank_ext(cells, modulus, p):

@@ -1,6 +1,8 @@
-"""Every benchmark job, run once at seed 7 through ``oredim.cli.main``,
-passes the benchmark's own output and cross-job checks, so a change that
-breaks them fails here rather than only when the benchmark runs."""
+"""Every benchmark job, run once at seeds 7 and 211 through
+``oredim.cli.main``, passes the benchmark's own output and cross-job
+checks, so a change that breaks them fails here rather than only when the
+benchmark runs.  The second seed draws other trial points and fields for
+the ranks that are not certified."""
 import contextlib
 import importlib.util
 import io
@@ -34,10 +36,11 @@ def bench():
         sys.path.remove(str(BENCH))
 
 
+@pytest.mark.parametrize("seed", (7, 211))
 @pytest.mark.parametrize("workload", ("fp-tables", "laurent-targets", "q-tables"))
-def test_bench_jobs_pass_the_bench_checks(workload, bench, tmp_path):
+def test_bench_jobs_pass_the_bench_checks(workload, seed, bench, tmp_path):
     checker, workloads = bench
-    jobs = workloads.jobs(workload, 7)
+    jobs = workloads.jobs(workload, seed)
     paths = []
     for k, job in enumerate(jobs):
         path = tmp_path / f"job{k:03d}.json"

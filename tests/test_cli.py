@@ -371,7 +371,8 @@ def test_ore_rejects_options_it_does_not_read(z_module_path, capsys, option):
 ], ids=("bivariate", "univariate-prob"))
 def test_ore_huge_degree_needs_no_lex_search(tmp_path, capsys, d, terms):
     # the trial points lie in F_{p^4}, p = 1000003 = 3 (mod 4), where no
-    # x^4 + c is irreducible; lex order alone tested a million candidates.
+    # x^4 + c is irreducible, so a search in lex order would test a million
+    # candidates.
     # rank_laurent answers any 1x1 exactly, so the univariate case calls
     # the evaluation directly.
     from oredim import linalg

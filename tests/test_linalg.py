@@ -7,12 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import (cleared_minor_degree, first_irreducible, first_rabin_candidate,
+from helpers import (cleared_minor_degree, first_rabin_candidate, irreducible_by_trial_division,
                      oracle_laurent_rank, oracle_rank, oracle_rank_ext, oracle_rank_q,
-                     polymulmod, rabin_irreducible)
+                     polygcd, polymul, polymulmod, rabin_irreducible)
 from oredim import linalg
 from oredim.errors import UnsupportedOperationError
-from oredim.fields import PrimeField, Rationals
+from oredim.fields import PrimeField, Rationals, is_prime
 from oredim.linalg import (LaurentMatrix, PlainMatrix, RankReport, poly_add,
                            poly_divexact, poly_monomial_shift, poly_mul, rank_dense,
                            rank_laurent, rank_laurent_bareiss,
@@ -1175,43 +1175,43 @@ def test_extension_field_products_randomized():
             assert (block @ b % p).tolist() == polymulmod(a, b, modulus, p)
 
 
-# (7, 4) and (11, 3): every x^4 + c over F_7 and every x^3 + c over F_11 is
-# reducible, so the lex-first irreducible lies past the binomials
 @pytest.mark.parametrize("p,top", [(2, 14), (3, 9), (5, 5), (47, 2), (7, 4), (11, 3)])
 def test_find_irreducible_matches_trial_division(p, top):
     for e in range(2, top + 1):
         f = linalg._find_irreducible(p, e)
-        assert f == first_irreducible(p, e) == first_rabin_candidate(p, e, LIMIT), (p, e)
+        assert f == first_rabin_candidate(p, e, LIMIT), (p, e)
+        assert irreducible_by_trial_division(f, p), (p, e)
 
 
 def test_find_irreducible_bounded_search():
-    # the deepest lex-first irreducible of p <= 13, e <= 16: candidate 191
-    assert linalg._find_irreducible(13, 10) == [9, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1]
-    # every x^4 + c over F_7 and every x^3 + c over F_11 is reducible
-    assert linalg._find_irreducible(7, 4) == [1, 1, 0, 0, 1]
-    assert linalg._find_irreducible(11, 3) == [4, 1, 0, 1]
-    # no x^4 + c is irreducible over F_1000003 (1000003 = 3 mod 4), so lex
-    # order would test a million candidates; the random phase finds one
+    # no x^4 + c is irreducible over F_1000003 (1000003 = 3 mod 4), nor
+    # over F_{2^31-1}; random candidates need no such family to be skipped
     f = linalg._find_irreducible(1000003, 4)
     assert f == [612485, 645640, 271913, 674206, 1]
     assert rabin_irreducible(f, 1000003)
-    # the 256 lex candidates at p = 2^31 - 1 are all such binomials, and
-    # they are skipped without Rabin's test
     linalg._find_irreducible.cache_clear()
     start = time.perf_counter()
     f = linalg._find_irreducible(2**31 - 1, 4)
     assert time.perf_counter() - start < 0.5
     assert f == [1058765899, 1753360988, 1755736461, 1707527090, 1]
-    # the batched search decides as Rabin's test on one candidate at a time:
-    # degree 16 takes many batches, and (1000003, 8) a random phase
-    for p, e in ((2, 16), (3, 16), (1000003, 4), (1000003, 8), (2**31 - 1, 4)):
+    # the batched search decides as Rabin's test on one candidate at a time,
+    # also where it takes many batches
+    for p, e in ((2, 16), (3, 16), (1000003, 4), (1000003, 8), (2**31 - 1, 4),
+                 (89, 13), (43, 16)):
         assert linalg._find_irreducible(p, e) == first_rabin_candidate(p, e, LIMIT), (p, e)
 
 
+def test_find_irreducible_every_small_field():
+    fields = [(p, e) for p in range(2, 102) if is_prime(p) for e in range(2, 17)]
+    fields += [(p, e) for p in (1000003, P31) for e in (2, 3, 5, 8, 16)]
+    for p, e in fields:
+        f = linalg._find_irreducible(p, e)
+        assert len(f) == e + 1 and f[-1] == 1, (p, e)
+        assert irreducible_by_trial_division(f, p), (p, e)
+
+
 def test_find_irreducible_filters_before_rabin(monkeypatch):
-    # candidates with a root at 0, 1 or -1 never reach Rabin's test, nor do
-    # binomials x^e + c where none is irreducible: (7, 4), (11, 3) and
-    # (1000003, 4), as in test_find_irreducible_bounded_search
+    # candidates with a root at 0, 1 or -1 never reach Rabin's test
     tested = []
     rabin = linalg._rabin_passes
 
@@ -1220,15 +1220,60 @@ def test_find_irreducible_filters_before_rabin(monkeypatch):
         return rabin(f, p, primes)
 
     monkeypatch.setattr(linalg, "_rabin_passes", spy)
-    for p, e, no_binomial in ((3, 4, False), (5, 6, False), (7, 4, True), (11, 3, True),
-                              (1000003, 4, True)):
+    for p, e in ((3, 4), (5, 6), (7, 4), (11, 3), (1000003, 4)):
         linalg._find_irreducible.cache_clear()
         tested.clear()
         assert linalg._find_irreducible(p, e) in tested
         for f in tested:
             assert all(sum(c * a ** i for i, c in enumerate(f)) % p for a in (0, 1, -1)), (p, e, f)
-            assert not no_binomial or any(f[1:e]), (p, e, f)
     linalg._find_irreducible.cache_clear()
+
+
+def _random_irreducible(rng, p, e):
+    while True:
+        f = [rng.randrange(p) for _ in range(e)] + [1]
+        if rabin_irreducible(f, p):
+            return f
+
+
+@pytest.mark.parametrize("p,degrees", [(2, range(2, 17)), (3, range(2, 17)),
+                                       (1000003, (2, 3, 4, 6)), (P31, (2, 3, 4))],
+                         ids=("2", "3", "1000003", "2^31-1"))
+def test_rabin_passes_matches_oracle(p, degrees):
+    rng = random.Random(p)
+    for e in degrees:
+        batch = [[rng.randrange(p) for _ in range(e)] + [1] for _ in range(6)]
+        batch.append(_random_irreducible(rng, p, e))
+        if e % 2 == 0 and (p, e) != (2, 4):  # F_2 has one irreducible quadratic
+            # x^(p^e) = x mod g*h for distinct irreducible g, h of degree
+            # e/2, so only the gcd condition rejects it
+            g = _random_irreducible(rng, p, e // 2)
+            h = g
+            while h == g:
+                h = _random_irreducible(rng, p, e // 2)
+            batch.append(polymul(g, h, p))
+        want = [rabin_irreducible(f, p) for f in batch]
+        got = linalg._rabin_passes(np.array(batch), p, linalg._prime_factors(e))
+        assert got.tolist() == want, (p, e)
+        assert want[6] and not any(want[7:]), (p, e)  # the drawn irreducible, g*h
+
+
+@pytest.mark.parametrize("p", [2, 3, 1000003, P31])
+def test_coprime_matches_polygcd(p):
+    rng = random.Random(p + 1)
+
+    def poly(deg):
+        return [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+
+    cases = [([], [1]), ([], poly(3)), ([0, 0, 0], poly(2)), (poly(0), poly(4))]
+    for _ in range(30):
+        f = poly(rng.randrange(1, 7))
+        cases.append((poly(rng.randrange(0, 10)), f))  # deg h may pass deg f
+        common = poly(rng.randrange(1, 3))
+        cases.append((polymul(common, poly(rng.randrange(0, 5)), p), polymul(common, f, p)))
+    for h, f in cases:
+        assert linalg._coprime(h, f, p) == (polygcd(h, f, p) == [1]), (p, h, f)
+    assert not all(linalg._coprime(h, f, p) for h, f in cases)
 
 
 def test_matmul_mod_exact_at_largest_prime():
