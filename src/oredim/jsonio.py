@@ -194,6 +194,8 @@ def decode_betti_request(obj, path=""):
     d = _expect_int(_get(obj, "d", path or "request"), f"{prefix}d", minimum=1)
     raw_n = _get(obj, "n", path or "request")
     if isinstance(raw_n, list):
+        if not raw_n:
+            raise SchemaError(f"{prefix}n", "need at least one level")
         ns = [_expect_int(x, f"{prefix}n[{k}]", minimum=2)
               for k, x in enumerate(raw_n)]
     else:

@@ -3,17 +3,18 @@
 Two matrix flavors:
 
 * ``PlainMatrix`` -- matrices over F_p or Q.  ``rank_sparse`` eliminates
-  in Markowitz min-fill order, finding each pivot from buckets of rows and
-  columns keyed by live count instead of rescanning the block; it is the
-  one kernel for Q.  It computes on plain Python ints over both fields:
-  residues over F_p, and over Q rows cleared to primitive integer vectors
-  and updated fraction-free, which scales rows by nonzero constants only
-  and so keeps every pivot of elimination over Q itself.  ``rank_plain``
-  sends every matrix to it.  ``rank_dense`` is Gaussian elimination on a
-  numpy int64 array, over F_p only; ``rank_sparse`` hands it the rest of
-  an F_p elimination once fill-in passes SPARSE_FILL_LIMIT of the live
-  block, which is the one way a plain rank reaches it.  Its kernel,
-  ``_rank_dense_modp``, is the dense eliminator over F_p.
+  sparsely, each pivot a shortest row in a column of least live count,
+  found from buckets of columns keyed by that count instead of by
+  rescanning the block; it is the one kernel for Q.  It computes on plain
+  Python ints over both fields: residues over F_p, and over Q rows cleared
+  to primitive integer vectors and updated fraction-free, which scales
+  rows by nonzero constants only and so keeps every pivot of elimination
+  over Q itself.  ``rank_plain`` sends every matrix to it.  ``rank_dense``
+  is Gaussian elimination on a numpy int64 array, over F_p only;
+  ``rank_sparse`` hands it the rest of an F_p elimination once fill-in
+  passes SPARSE_FILL_LIMIT of the live block, which is the one way a plain
+  rank reaches it.  Its kernel, ``_rank_dense_modp``, is the dense
+  eliminator over F_p.
 
 * ``LaurentMatrix`` -- matrices whose entries are Laurent polynomials in d
   commuting variables, i.e. matrices over the rational function field
@@ -56,15 +57,16 @@ Poly = Dict[Tuple[int, ...], RawScalar]
 # rank_sparse hands an F_p elimination to rank_dense once a live block of
 # two or more rows is more than SPARSE_FILL_LIMIT full.  Measured
 # single-threaded on CPython 3.11 / numpy 2.4: on the quotient matrices of
-# [z1-1, z2-1] over F_3, rank_sparse is at least as fast as rank_dense from 16x32 up (0.25 ms vs
-# 0.34 ms; 14 ms vs 81 ms at 1024x2048).  On uniformly random F_3 matrices
-# fill swamps the sparse phase: dense is 2-2.5x faster at density 0.1-0.3
-# from 64x64 to 256x256, and about even at density 0.05.  No size or
+# [z1-1, z2-1] over F_3, rank_sparse is at least as fast as rank_dense from
+# 9x18 up (0.09 ms vs 0.11 ms; 6.5 ms vs 64 ms at 1024x2048).  On uniformly
+# random F_3 matrices from 64x64 to 256x256, fill swamps the sparse phase
+# at density 0.2-0.3, where dense is 1.3-1.5x faster; they are about even
+# at density 0.1, and sparse is 1.5-1.9x faster at 0.05.  No size or
 # density test picks a kernel up front: on the bench at seed 7, the small
 # or dense matrices such a test sent to rank_dense ranked faster through
 # rank_sparse, whose fill check densifies the dense ones at once (best of
-# 5 each: fp-tables, 27 matrices, 12.6 -> 6.7 ms; q-tables, 89, 13.1 ->
-# 6.7 ms).
+# 5 each: fp-tables, 27 matrices, 13.6 -> 7.5 ms; q-tables, 89, 18.6 ->
+# 8.5 ms).
 SPARSE_FILL_LIMIT = 0.5
 
 # rank_laurent ranks on an evaluation grid when K * points * (r * s *
@@ -234,16 +236,22 @@ def rank_dense(m: PlainMatrix) -> int:
 
 
 def rank_sparse(m: PlainMatrix) -> int:
-    """Markowitz-ordered elimination with a bucketed pivot search, on
-    plain Python ints over both fields.
+    """Sparse elimination with column-first pivots, on plain Python ints
+    over both fields.
 
-    Each pivot minimizes (nnz(row)-1)*(nnz(col)-1) over the live block.
-    Rows and columns sit in buckets keyed by their live count, and the
-    counts, the buckets, the live nnz and the live-column count are
-    updated as elimination adds fill and cancels entries; no step rescans
-    the whole block.  ``_markowitz_pivot`` walks the buckets in increasing
-    count and stops once no unscanned entry can cost less than the best
-    one found.
+    Each pivot (``_pivot``) lies in a live column of least count, and in
+    that column it is a row with the fewest live entries, so a pivot step
+    touches few rows and adds little fill.  Columns sit in buckets keyed
+    by their live count, and the counts, the buckets, the live nnz and
+    the live-column count are updated as elimination adds fill and
+    cancels entries; no step rescans the whole block.  Every column the
+    pivot row touches leaves its bucket and goes back, at the end, once
+    the update has settled it, and the pivot is taken from the newest
+    column of its bucket: the columns the last update touched lie on the
+    fill front, so the elimination stays local.  On the 2304x4608 F_3
+    quotient of [z1-1, z2-1] no pivot row has more than 4 entries; taking
+    the oldest column instead lets them grow to 220 and runs 1.6 times
+    slower.
 
     The pivot depends only on the matrix: the row and column structures
     are built from the entries in sorted (row, col) order, every bucket
@@ -277,10 +285,7 @@ def rank_sparse(m: PlainMatrix) -> int:
             for j, v in row.items():
                 row[j] = v.numerator * (lcm // v.denominator)
             _divide_content(row)
-    row_bins: Dict[int, Dict[int, None]] = {}
     col_bins: Dict[int, Dict[int, None]] = {}
-    for i, row in rows.items():
-        row_bins.setdefault(len(row), {})[i] = None
     for j, col in cols.items():
         col_bins.setdefault(len(col), {})[j] = None
     nnz = len(m.entries)
@@ -290,11 +295,10 @@ def rank_sparse(m: PlainMatrix) -> int:
         # a last live row fills its block but is one pivot, not a dense job
         if modp and len(rows) > 1 and nnz > SPARSE_FILL_LIMIT * len(rows) * live_cols:
             return rank + _densify_rank(field, rows)
-        pi, pj = _markowitz_pivot(rows, cols, row_bins, col_bins)
-        # Take the pivot row and every column it touches out of their
-        # buckets; the columns go back once the update has settled them.
+        pi, pj = _pivot(rows, cols, col_bins)
+        # Take every column the pivot row touches out of its bucket; it
+        # goes back once the update has settled it.
         prow = rows.pop(pi)
-        del row_bins[len(prow)][pi]
         nnz -= len(prow)
         for j in prow:
             del col_bins[len(cols[j])][j]
@@ -310,7 +314,6 @@ def rank_sparse(m: PlainMatrix) -> int:
         nnz -= len(targets)
         for i2 in targets:
             row2 = rows[i2]
-            del row_bins[len(row2)][i2]
             b = row2.pop(pj)
             if not modp:
                 g = math.gcd(pv, b)
@@ -331,12 +334,10 @@ def rank_sparse(m: PlainMatrix) -> int:
                     del row2[j]
                     del cols[j][i2]
                     nnz -= 1
-            if row2:
-                if not modp:
-                    _divide_content(row2)
-                row_bins.setdefault(len(row2), {})[i2] = None
-            else:
+            if not row2:
                 del rows[i2]
+            elif not modp:
+                _divide_content(row2)
         for j in prow:
             col = cols[j]
             if col:
@@ -356,57 +357,25 @@ def _divide_content(row: Dict[int, int]) -> None:
             row[j] = v // content
 
 
-def _markowitz_pivot(rows, cols, row_bins, col_bins):
-    """The first entry of least Markowitz cost in bucket search order.
-
-    Alternates between the column bucket of count ``kc`` and the row
-    bucket of count ``kr``, starting from the least live counts.  Once the
-    columns of count below ``kc`` and the rows of count below ``kr`` are
-    scanned, every unscanned entry lies in a column of count >= kc and a
-    row of count >= kr, so it costs at least (kc-1)*(kr-1); the search
-    stops as soon as the best cost found is no more than that.
-
-    Each bucket is scanned newest first.  The rows and columns the last
-    update touched lie on the fill front, so the elimination stays local;
-    on the 2304x4608 F_3 quotient of [z1-1, z2-1], oldest-first order
-    lets rows grow to 84 entries and runs about nine times slower.
-    """
-    kr = kc = 1
-    while not row_bins.get(kr):
-        kr += 1
-    while not col_bins.get(kc):
-        kc += 1
-    best, best_cost = None, float("inf")
-    while True:
-        for j in reversed(col_bins.get(kc, {})):
-            for i in cols[j]:
-                cost = (len(rows[i]) - 1) * (kc - 1)
-                if cost < best_cost:
-                    best, best_cost = (i, j), cost
-            if best_cost <= (kc - 1) * (kr - 1):
-                return best
-        kc += 1
-        if best_cost <= (kc - 1) * (kr - 1):
-            return best
-        for i in reversed(row_bins.get(kr, {})):
-            for j in rows[i]:
-                cost = (kr - 1) * (len(cols[j]) - 1)
-                if cost < best_cost:
-                    best, best_cost = (i, j), cost
-            if best_cost <= (kc - 1) * (kr - 1):
-                return best
-        kr += 1
-        if best_cost <= (kc - 1) * (kr - 1):
-            return best
+def _pivot(rows, cols, col_bins):
+    """The pivot (row, col): in the newest column of least live count, the
+    first of its rows with the fewest live entries."""
+    k = 1
+    while not col_bins.get(k):
+        k += 1
+    j = next(reversed(col_bins[k]))
+    return min(cols[j], key=lambda i: len(rows[i])), j
 
 
 def _densify_rank(field, rows) -> int:
     row_ids = sorted(rows)
     col_ids = sorted({j for r in rows.values() for j in r})
     col_pos = {j: k for k, j in enumerate(col_ids)}
-    entries = {(ri, col_pos[j]): v
-               for ri, i in enumerate(row_ids) for j, v in rows[i].items()}
-    return rank_dense(PlainMatrix(field, len(row_ids), len(col_ids), entries))
+    block = PlainMatrix(field, len(row_ids), len(col_ids))
+    # the live entries are nonzero residues already: no normalizing pass
+    block.entries = {(ri, col_pos[j]): v
+                     for ri, i in enumerate(row_ids) for j, v in rows[i].items()}
+    return rank_dense(block)
 
 
 def rank_plain(m: PlainMatrix) -> int:

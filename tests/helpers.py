@@ -19,7 +19,7 @@ from oredim.linalg import PlainMatrix
 
 def oracle_rank(rows, field):
     """Rank of a list of rows over ``field`` by Gauss-Jordan elimination
-    on plain lists, independent of the numpy and Markowitz kernels."""
+    on plain lists, independent of the numpy and sparse kernels."""
     rows = [list(r) for r in rows]
     rank = 0
     for c in range(len(rows[0]) if rows else 0):

@@ -231,6 +231,14 @@ def test_betti_finite_command(tmp_path, capsys):
     assert "finite-betti-b2,4,16,3,3/16,true" in lines
 
 
+def test_betti_finite_empty_level_list_exit_2(tmp_path, capsys):
+    request = write_json(tmp_path / "betti.json", {
+        "d": 1, "n": [], "i_max": 1, "field": {"type": "Fp", "p": 2}})
+    code, out, err = run(capsys, ["betti-finite", "--input", request])
+    assert code == 2 and out == ""
+    assert "error: n: need at least one level" in err
+
+
 def test_json_report_reparses(z_module_path, capsys):
     code, out, _ = run(capsys, ["approx", "--input", z_module_path,
                                 "--levels", "2,4", "--format", "json"])

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import random
@@ -375,13 +376,13 @@ def test_rank_sparse_fill_falls_back_to_dense_partway(monkeypatch):
 
 def test_rank_sparse_pivots_depend_only_on_the_matrix(monkeypatch):
     pivots = []
-    real_search = linalg._markowitz_pivot
+    real_search = linalg._pivot
 
     def spy(*args):
         pivots.append(real_search(*args))
         return pivots[-1]
 
-    monkeypatch.setattr(linalg, "_markowitz_pivot", spy)
+    monkeypatch.setattr(linalg, "_pivot", spy)
     rng = random.Random(137)
     entries = {(rng.randrange(40), rng.randrange(50)): rng.randrange(1, 5)
                for _ in range(160)}
@@ -459,13 +460,13 @@ def test_rank_sparse_rational_pivots_ignore_row_scaling(monkeypatch):
     # Rows enter as primitive integer vectors, so scaling a row by a
     # nonzero rational changes no zero pattern and no pivot.
     pivots = []
-    real_search = linalg._markowitz_pivot
+    real_search = linalg._pivot
 
     def spy(*args):
         pivots.append(real_search(*args))
         return pivots[-1]
 
-    monkeypatch.setattr(linalg, "_markowitz_pivot", spy)
+    monkeypatch.setattr(linalg, "_pivot", spy)
     rng = random.Random(149)
     entries = {(rng.randrange(30), rng.randrange(36)): Fraction(rng.randint(-4, 4) or 1,
                                                              rng.randint(1, 5))
@@ -479,6 +480,51 @@ def test_rank_sparse_rational_pivots_ignore_row_scaling(monkeypatch):
         runs.append((rank, list(pivots)))
     assert runs[0][1] and runs[0] == runs[1]
     assert runs[0][0] == oracle_rank(PlainMatrix(Q, 30, 36, entries).to_dense(), Q)
+
+
+def _spy_pivots(monkeypatch, check=True):
+    """Spy on ``_pivot`` and record the pivot row's length at each call.
+    With ``check``, first check the column buckets against the live rows,
+    then the rule: a column of least live count, a shortest row in it."""
+    lengths = []
+    real_pivot = linalg._pivot
+
+    def spy(rows, cols, col_bins):
+        i, j = real_pivot(rows, cols, col_bins)
+        if check:
+            counts = collections.Counter(j2 for row in rows.values() for j2 in row)
+            assert {j2: len(col) for j2, col in cols.items()} == counts
+            assert {j2: k for k, bin_ in col_bins.items() for j2 in bin_} == counts
+            assert j in rows[i] and counts[j] == min(counts.values())
+            assert len(rows[i]) == min(len(rows[i2]) for i2 in cols[j])
+        lengths.append(len(rows[i]))
+        return i, j
+
+    monkeypatch.setattr(linalg, "_pivot", spy)
+    return lengths
+
+
+@pytest.mark.parametrize("field", [F5, Q], ids=repr)
+def test_rank_sparse_pivot_rule(field, monkeypatch):
+    lengths = _spy_pivots(monkeypatch)
+    rng = random.Random(151)
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 30), rng.randint(1, 30)
+        entries = {(rng.randrange(nrows), rng.randrange(ncols)):
+                   field.normalize(Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3)))
+                   for _ in range(rng.randint(0, 2 * (nrows + ncols)))}
+        m = PlainMatrix(field, nrows, ncols, entries)
+        assert rank_sparse(m) == oracle_rank(m.to_dense(), field)
+    assert len(lengths) > 150
+
+
+def test_rank_sparse_pivot_rows_stay_on_the_fill_front(monkeypatch):
+    # the newest column of least count follows the fill front: on the
+    # level-48 quotient of [z1-1, z2-1] no pivot row grows past 4 entries
+    lengths = _spy_pivots(monkeypatch, check=False)
+    assert rank_sparse(plane_quotient(F3, 48)) == 48 * 48 - 1
+    # all but the last few pivots are sparse ones
+    assert len(lengths) > 48 * 48 - 10 and max(lengths) <= 4
 
 
 # -- metamorphic invariances ---------------------------------------------------
