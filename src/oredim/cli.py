@@ -10,11 +10,12 @@ flags to the JSON.  ``--levels`` is read by approx, folner and homology,
 malformed input (diagnostic names the JSON path), 3 unsupported operation
 (message equals the library error text).
 
-A request whose first argument names a subcommand is parsed by one
-parser with that subcommand's options alone.  The full parser
-(``build_parser``) is built only for any other first argument and for
-arguments that one parser leaves over, so usage, help and error text are
-argparse's own, byte for byte.
+A well-formed request, a subcommand followed by ``--name value`` pairs of
+its own options, is read without building a parser.  Anything else (help,
+``--name=value``, abbreviations, values that start with ``-``, unknown
+options, a missing ``--input``, bad values) goes to the full parser
+(``build_parser``), so usage, help and error text are argparse's own, byte
+for byte.
 """
 from __future__ import annotations
 
@@ -61,6 +62,8 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise SchemaError(path, f"cannot read input: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(path, f"cannot read input: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(path, f"invalid JSON: {exc}") from None
 
@@ -89,8 +92,11 @@ def _parse_tol(text: str) -> Fraction:
 
 def _emit(text: str, out: Optional[str]):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SchemaError(out, f"cannot write output: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -114,8 +120,8 @@ def _help_formatter():
 
 
 def _add_options(parser: argparse.ArgumentParser, levels: bool, tol: bool) -> None:
-    """The options of one subcommand, for its subparser in ``build_parser``
-    and for the one-subcommand parser of ``_parse_args`` alike."""
+    """The options of one subcommand, for its subparser in ``build_parser``;
+    ``_read_args`` reads the same options with the same defaults."""
     parser.add_argument("--input", required=True, help="path to a JSON input file")
     if levels:
         parser.add_argument("--levels", default=None,
@@ -131,9 +137,8 @@ def _add_options(parser: argparse.ArgumentParser, levels: bool, tol: bool) -> No
 def build_parser() -> argparse.ArgumentParser:
     """The full argument parser: every subcommand with its options.
 
-    ``main`` builds it only when the first argument names no subcommand,
-    or when the one-subcommand parser leaves arguments over, so that
-    top-level usage and those error messages are argparse's own.
+    ``main`` builds it only for a request that ``_read_args`` does not
+    read, so that usage, help and error messages are argparse's own.
     """
     formatter = _help_formatter()
     parser = argparse.ArgumentParser(
@@ -148,23 +153,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_args(argv: List[str]) -> argparse.Namespace:
-    """The parsed command line, as ``build_parser().parse_args(argv)`` gives it.
+def _read_args(argv: List[str]) -> Optional[argparse.Namespace]:
+    """The namespace of a well-formed request, as the full parser gives it,
+    or None for any other argv.
 
-    When ``argv[0]`` names a subcommand, the rest goes to one parser with
-    that subcommand's options and prog, the same as its subparser, and the
-    full parser is built only if arguments are left over (to report them).
+    Well-formed: a subcommand, then ``--name value`` pairs whose names are
+    exactly that subcommand's options and whose values do not start with
+    ``-``, with ``--input`` among them.  Each ``--seed`` must be an int and
+    each ``--format`` csv or json; a repeated option keeps its last value,
+    as in argparse.
     """
-    if argv and argv[0] in COMMANDS:
-        _, levels, tol = COMMANDS[argv[0]]
-        one = argparse.ArgumentParser(prog=f"oredim {argv[0]}",
-                                      formatter_class=_help_formatter())
-        _add_options(one, levels, tol)
-        args, rest = one.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return build_parser().parse_args(argv)
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    _, levels, tol = COMMANDS[argv[0]]
+    args = {"input": None, "seed": 0, "out": None, "format": "csv"}
+    if levels:
+        args["levels"] = None
+    if tol:
+        args["tol"] = "1/20"
+    for name, value in zip(argv[1::2], argv[2::2]):
+        key = name[2:]
+        if not name.startswith("--") or key not in args or value.startswith("-"):
+            return None
+        if key == "seed":
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif key == "format" and value not in ("csv", "json"):
+            return None
+        args[key] = value
+    if args["input"] is None:
+        return None
+    return argparse.Namespace(command=argv[0], **args)
+
+
+def _parse_args(argv: List[str]) -> argparse.Namespace:
+    """The parsed command line, as ``build_parser().parse_args(argv)`` gives it;
+    the full parser is built only for a request ``_read_args`` does not read."""
+    args = _read_args(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def _run_ore(args) -> List[Record]:

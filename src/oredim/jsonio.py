@@ -2,6 +2,8 @@
 
 Decoders raise ``SchemaError`` carrying the JSON path of the offending
 node (e.g. ``entries[3].terms[0].g``), which the CLI surfaces verbatim.
+A matrix's entries are decoded in one walk that formats no path; only an
+array it finds malformed is walked again node by node to name the path.
 Exact rationals always travel as "num/den" strings, never floats.
 """
 from __future__ import annotations
@@ -97,11 +99,63 @@ def decode_scalar(field: Field, obj, path):
         raise SchemaError(path, str(exc)) from None
 
 
-def _decode_term(field: Field, group: Group, term, tpath):
-    """A term's group element and coefficient; no path is formatted for None."""
-    term = _expect_object(term, tpath)
-    g = decode_element(group, _get(term, "g", tpath), tpath and f"{tpath}.g")
-    return g, decode_scalar(field, _get(term, "coeff", tpath), tpath and f"{tpath}.coeff")
+def _decode_entries(field: Field, group: Group, rows: int, cols: int, raw):
+    """The entries of a well-formed ``entries`` array by position, empty
+    ones included, or None at the first anomaly.
+
+    One walk over exact JSON types: ``type(x) is int`` keeps bools out, and
+    no path is formatted.  ``_decode_entries_checked`` walks an anomalous
+    array again to raise the ``SchemaError`` that names its path."""
+    check, parse, add = group.check_element, field.parse_value, field.add
+    entries = {}
+    for ent in raw:
+        if type(ent) is not dict:
+            return None
+        i, j, raw_terms = ent.get("row"), ent.get("col"), ent.get("terms")
+        if (type(i) is not int or type(j) is not int or not 0 <= i < rows
+                or not 0 <= j < cols or type(raw_terms) is not list or (i, j) in entries):
+            return None
+        terms = {}
+        for term in raw_terms:
+            if type(term) is not dict:
+                return None
+            g = term.get("g")
+            if type(g) is not list:
+                return None
+            for x in g:
+                if type(x) is not int:
+                    return None
+            try:
+                g, coeff = check(g), parse(term.get("coeff"))
+            except ValueError:
+                return None
+            terms[g] = add(terms[g], coeff) if g in terms else coeff
+        entries[i, j] = GroupRingElement.from_checked(field, group, terms)
+    return entries
+
+
+def _decode_entries_checked(field: Field, group: Group, rows: int, cols: int, raw, prefix):
+    """``_decode_entries`` node by node, raising the ``SchemaError`` that
+    names the first malformed node's path."""
+    entries = {}
+    for k, ent in enumerate(raw):
+        epath = f"{prefix}entries[{k}]"
+        ent = _expect_object(ent, epath)
+        i = _expect_int(_get(ent, "row", epath), f"{epath}.row", minimum=0)
+        j = _expect_int(_get(ent, "col", epath), f"{epath}.col", minimum=0)
+        if i >= rows or j >= cols:
+            raise SchemaError(epath, f"position ({i},{j}) outside a {rows}x{cols} matrix")
+        terms = {}
+        for t, term in enumerate(_expect_array(_get(ent, "terms", epath), f"{epath}.terms")):
+            tpath = f"{epath}.terms[{t}]"
+            term = _expect_object(term, tpath)
+            g = decode_element(group, _get(term, "g", tpath), f"{tpath}.g")
+            coeff = decode_scalar(field, _get(term, "coeff", tpath), f"{tpath}.coeff")
+            terms[g] = field.add(terms[g], coeff) if g in terms else coeff
+        if (i, j) in entries:
+            raise SchemaError(epath, f"duplicate entry at position ({i},{j})")
+        entries[i, j] = GroupRingElement.from_checked(field, group, terms)
+    return entries
 
 
 def decode_matrix(obj, path="") -> GroupRingMatrix:
@@ -111,30 +165,15 @@ def decode_matrix(obj, path="") -> GroupRingMatrix:
     group = decode_group(_get(obj, "group", path or "matrix"), f"{prefix}group")
     rows = _expect_int(_get(obj, "rows", path or "matrix"), f"{prefix}rows", minimum=0)
     cols = _expect_int(_get(obj, "cols", path or "matrix"), f"{prefix}cols", minimum=0)
-    entries = {}
-    for k, ent in enumerate(_expect_array(_get(obj, "entries", path or "matrix"),
-                                          f"{prefix}entries")):
-        epath = f"{prefix}entries[{k}]"
-        ent = _expect_object(ent, epath)
-        i = _expect_int(_get(ent, "row", epath), f"{epath}.row", minimum=0)
-        j = _expect_int(_get(ent, "col", epath), f"{epath}.col", minimum=0)
-        if i >= rows or j >= cols:
-            raise SchemaError(epath, f"position ({i},{j}) outside a {rows}x{cols} matrix")
-        terms = {}
-        for t, term in enumerate(_expect_array(_get(ent, "terms", epath),
-                                               f"{epath}.terms")):
-            try:
-                g, coeff = _decode_term(field, group, term, None)
-            except SchemaError:
-                # decode again, now naming the path, to raise the same error
-                _decode_term(field, group, term, f"{epath}.terms[{t}]")
-                raise
-            terms[g] = field.add(terms[g], coeff) if g in terms else coeff
-        key = (i, j)
-        if key in entries:
-            raise SchemaError(epath, f"duplicate entry at position ({i},{j})")
-        entries[key] = GroupRingElement.from_checked(field, group, terms)
-    return GroupRingMatrix(field, group, rows, cols, entries)
+    raw = _expect_array(_get(obj, "entries", path or "matrix"), f"{prefix}entries")
+    entries = _decode_entries(field, group, rows, cols, raw)
+    if entries is None:
+        entries = _decode_entries_checked(field, group, rows, cols, raw, prefix)
+    # the elements are checked and share field and group, so the matrix
+    # takes them without its constructor's second pass
+    matrix = GroupRingMatrix(field, group, rows, cols)
+    matrix.entries = {key: el for key, el in entries.items() if el.terms}
+    return matrix
 
 
 def encode_matrix(matrix: GroupRingMatrix) -> dict:

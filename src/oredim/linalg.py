@@ -99,6 +99,18 @@ PROBABILISTIC_TRIALS = 3
 IRREDUCIBLE_SEARCH_LIMIT = 512
 IRREDUCIBLE_BATCH = 8
 
+# _find_irreducible(p, e) for p = 2, 3 and e = 2..16 as the search returns
+# it, each polynomial the integer whose base-p digits are its coefficients.
+# Laurent ranks take e of about log_p(64 D), so p = 2 and 3 ask for the
+# largest e.  One search there (best of 7, one thread) took 0.9-1.2 ms at
+# p = 2 with e = 12..15 and 0.2-0.9 ms at every other (p, e) in the table.
+RECORDED_MODULI = {
+    2: (7, 11, 31, 41, 109, 247, 333, 895, 1329, 2965, 6601, 15881, 22469, 64603,
+        121511),
+    3: (14, 53, 134, 409, 929, 3485, 12581, 38590, 69127, 239537, 624377, 1769975,
+        7468373, 24864643, 66730775),
+}
+
 
 class PlainMatrix:
     """A matrix over F_p or Q with sparse (row, col) -> value storage."""
@@ -634,9 +646,14 @@ def _find_irreducible(p: int, e: int):
     Computer Algebra, ch. 14).  Those with a root at 0, 1 or -1 have a
     linear factor and are skipped; the rest of each batch go to
     ``_rabin_passes``, and the first in order that passes is returned.
+    For p = 2 and 3 with e <= 16 that first one is read from
+    RECORDED_MODULI instead of searched for.
     """
     if e == 1:
         return [0, 1]
+    recorded = RECORDED_MODULI.get(p, ())
+    if e - 2 < len(recorded):
+        return [recorded[e - 2] // p ** k % p for k in range(e + 1)]
     primes = _prime_factors(e)
     rng = random.Random(f"{p}:{e}")
     signs = (-1) ** np.arange(e + 1)
@@ -774,8 +791,28 @@ def _cleared_terms(m: LaurentMatrix, entries, shifts, primes):
         exps = sorted(set(column))
         pos = {n: k for k, n in enumerate(exps)}
         per_var.append((exps, np.array([pos[n] for n in column])))
-    columns = {p: np.array([v % p for v in coeffs], dtype=np.int64)[:, None] for p in primes}
-    return cells, starts, columns, np.array(term_monos), per_var
+    return cells, starts, _residues(coeffs, primes), np.array(term_monos), per_var
+
+
+def _residues(values, primes):
+    """For each p in ``primes``, the ints ``values`` mod p as an int64 column.
+
+    Each value is first reduced modulo the product of each block of 32
+    primes, then that residue modulo the block's own primes, so a large
+    value takes one long division per block instead of one per prime.
+    On 121 values of 30,000 bits and 1,001 primes (CPython 3.11, one
+    thread) the reductions took 2.18 s one prime at a time and 0.42, 0.35,
+    0.32, 0.37 and 0.54 s in blocks of 8, 16, 32, 64 and 128; on 80-bit
+    values every block size took the same 0.02 s.
+    """
+    columns = {}
+    for k in range(0, len(primes), 32):
+        block = primes[k:k + 32]
+        top = math.prod(block)
+        reduced = [v % top for v in values]
+        for p in block:
+            columns[p] = np.array([v % p for v in reduced], dtype=np.int64)[:, None]
+    return columns
 
 
 def _monomial_values(terms, xs: np.ndarray, p, cpow: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from oredim.errors import SchemaError
 from oredim.fields import PrimeField, Rationals
 from oredim.groupring import GroupRingElement, GroupRingMatrix
 from oredim.groups import Zd
@@ -360,6 +361,50 @@ def cleared_minor_degree(m):
     degrees = [row_degree(i) for i in range(m.nrows)]
     return max(sum(pick) for pick in
                itertools.combinations(degrees, min(m.nrows, m.ncols)))
+
+
+def _oracle_decode_term(field, group, term, tpath):
+    from oredim.jsonio import _expect_object, _get, decode_element, decode_scalar
+    term = _expect_object(term, tpath)
+    g = decode_element(group, _get(term, "g", tpath), tpath and f"{tpath}.g")
+    return g, decode_scalar(field, _get(term, "coeff", tpath), tpath and f"{tpath}.coeff")
+
+
+def oracle_decode_matrix(obj, path=""):
+    """``jsonio.decode_matrix`` as it was before its one-walk decode: each
+    node checked with its path, a malformed term decoded again to name it,
+    and the entries passed through the ``GroupRingMatrix`` constructor."""
+    from oredim.jsonio import (_expect_array, _expect_int, _expect_object, _get,
+                               decode_field, decode_group)
+    prefix = f"{path}." if path else ""
+    obj = _expect_object(obj, path or "matrix")
+    field = decode_field(_get(obj, "field", path or "matrix"), f"{prefix}field")
+    group = decode_group(_get(obj, "group", path or "matrix"), f"{prefix}group")
+    rows = _expect_int(_get(obj, "rows", path or "matrix"), f"{prefix}rows", minimum=0)
+    cols = _expect_int(_get(obj, "cols", path or "matrix"), f"{prefix}cols", minimum=0)
+    entries = {}
+    for k, ent in enumerate(_expect_array(_get(obj, "entries", path or "matrix"),
+                                          f"{prefix}entries")):
+        epath = f"{prefix}entries[{k}]"
+        ent = _expect_object(ent, epath)
+        i = _expect_int(_get(ent, "row", epath), f"{epath}.row", minimum=0)
+        j = _expect_int(_get(ent, "col", epath), f"{epath}.col", minimum=0)
+        if i >= rows or j >= cols:
+            raise SchemaError(epath, f"position ({i},{j}) outside a {rows}x{cols} matrix")
+        terms = {}
+        for t, term in enumerate(_expect_array(_get(ent, "terms", epath),
+                                               f"{epath}.terms")):
+            try:
+                g, coeff = _oracle_decode_term(field, group, term, None)
+            except SchemaError:
+                _oracle_decode_term(field, group, term, f"{epath}.terms[{t}]")
+                raise
+            terms[g] = field.add(terms[g], coeff) if g in terms else coeff
+        key = (i, j)
+        if key in entries:
+            raise SchemaError(epath, f"duplicate entry at position ({i},{j})")
+        entries[key] = GroupRingElement.from_checked(field, group, terms)
+    return GroupRingMatrix(field, group, rows, cols, entries)
 
 
 # -- samplers ---------------------------------------------------------------

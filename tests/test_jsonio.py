@@ -1,9 +1,10 @@
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import random_element
+from helpers import oracle_decode_matrix, random_element
 from oredim.chains import build_koszul
 from oredim.errors import SchemaError
 from oredim.fields import PrimeField, Rationals
@@ -130,6 +131,83 @@ def test_decoded_matrix_equals_validating_constructors(field, group):
             assert (laurent.field, laurent.nvars, laurent.nrows, laurent.ncols) == \
                 (field, group.d, decoded.nrows, decoded.ncols)
             assert laurent.entries == reference.entries
+
+
+def _mutate(rng, payload, group):
+    """``payload`` with one seeded defect, or none: the kinds of input the
+    one-walk decode must send to the checked walk."""
+    entries = payload["entries"]
+    if not entries:
+        return payload
+    ent = rng.choice(entries)
+    term = rng.choice(ent["terms"])
+    kind = rng.randrange(17)
+    if kind == 0:
+        term["g"][rng.randrange(len(term["g"]))] = rng.choice([True, False, 1.5, "1", None])
+    elif kind == 1:
+        term["coeff"] = rng.choice([True, 1.5, None, "x", "1/0", [1], {"n": 1}])
+    elif kind == 2:
+        term["g"] = term["g"] + [0] if rng.random() < 0.5 else term["g"][:-1]
+    elif kind == 3:
+        term["g"][-1] = 2 if group.kind == "Dinf" else -1
+    elif kind == 4:
+        twin = dict(rng.choice(entries))
+        entries.insert(rng.randrange(len(entries) + 1), twin)
+        if rng.random() < 0.5:
+            twin["terms"] = []
+    elif kind == 5:
+        ent["terms"] = []
+        entries.append({"row": ent["row"], "col": ent["col"], "terms": []})
+    elif kind == 6:
+        ent[rng.choice(["row", "col"])] = rng.choice(
+            [payload["rows"], payload["cols"], -1, 10**20])
+    elif kind == 7:
+        ent[rng.choice(["row", "col"])] = rng.choice([True, 0.0, "0", None])
+    elif kind == 8:
+        ent["terms"][ent["terms"].index(term)] = rng.choice([[1], 1, "t", None])
+    elif kind == 9:
+        del term[rng.choice(["g", "coeff"])]
+    elif kind == 10:
+        del ent[rng.choice(["row", "col", "terms"])]
+    elif kind == 11:
+        ent["terms"] = rng.choice([{}, "terms", None, 0])
+    elif kind == 12:
+        entries[entries.index(ent)] = rng.choice([[0, 0], "entry", None, 1])
+    elif kind == 13:
+        # a repeated g, and one that cancels to zero
+        ent["terms"].append(copy.deepcopy(term))
+        if isinstance(term["coeff"], int):
+            ent["terms"].append({"g": list(term["g"]), "coeff": -2 * term["coeff"]})
+    elif kind == 14:
+        term["g"] = rng.choice([1, "g", None, {"0": 0}])
+    elif kind == 15:
+        ent["extra"] = 1
+    return payload
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(1000003), Rationals()],
+                         ids=repr)
+@pytest.mark.parametrize("group", [Zd(1), Zd(3), DihedralInfinite(), Heisenberg()],
+                         ids=repr)
+def test_decode_matrix_matches_checked_oracle(field, group):
+    # the one-walk decode agrees with the decoder that checks every node
+    # with its path (helpers.oracle_decode_matrix) on seeded mutations of
+    # valid payloads: the same matrix, or a SchemaError with the same text
+    rng = random.Random(2024)
+    raised = 0
+    for _ in range(150):
+        payload, _ = _random_payload(rng, field, group, rng.randrange(1, 4),
+                                     rng.randrange(1, 4))
+        payload = _mutate(rng, payload, group)
+        outcomes = []
+        for decode in (decode_matrix, oracle_decode_matrix):
+            try:
+                outcomes.append(decode(copy.deepcopy(payload)))
+            except SchemaError as exc:
+                outcomes.append(("SchemaError", str(exc)))
+        assert outcomes[0] == outcomes[1], payload
+        raised += isinstance(outcomes[0], tuple)
+    assert 50 < raised < 150
 
 
 def test_term_coefficients_accumulate():

@@ -1,6 +1,7 @@
 import collections
 import functools
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -1103,6 +1104,35 @@ def test_rank_laurent_q_grid_runs_on_the_stack(monkeypatch):
                                linalg.PROBABILISTIC_TRIALS).tolist()
 
 
+def test_rank_laurent_q_trials_reduce_huge_coefficients_in_blocks():
+    # rows (f, f) and (1, 1), f with 121 terms of 30,000 bits: the trials
+    # take 1,001 primes, and each coefficient is reduced modulo products of
+    # blocks of primes before each prime (one prime at a time it took 4.1 s
+    # with CPython 3.11 on a 2-core x86_64 host)
+    f = {(a, b): Q.normalize(2**29999 + 7 * a + 3 * b) for a in range(11) for b in range(11)}
+    one = {(0, 0): Q.one}
+    m = LaurentMatrix(Q, 2, 2, 2, {(0, 0): f, (0, 1): dict(f), (1, 0): one, (1, 1): one})
+    assert linalg._height_primes(linalg._integer_rows(m), 2, 2) == 1001
+    start = time.perf_counter()
+    report = rank_laurent(m)
+    assert time.perf_counter() - start < 2.5
+    # D = 20, and the sample is the least of the primes
+    bound = Fraction(20, linalg._split_primes(1, 1001)[-1] - 1) ** linalg.PROBABILISTIC_TRIALS
+    assert report == RankReport(1, False, bound)
+
+
+def test_residues_match_one_prime_at_a_time():
+    rng = random.Random(77)
+    primes = linalg._split_primes(1, 70)
+    values = [rng.getrandbits(rng.choice([1, 31, 200, 5000])) * rng.choice([1, -1])
+              for _ in range(40)] + [0, -1, math.prod(primes[:32])]
+    columns = linalg._residues(values, primes)
+    assert list(columns) == list(primes)
+    for p in primes:
+        assert columns[p].shape == (len(values), 1)
+        assert columns[p][:, 0].tolist() == [v % p for v in values]
+
+
 def test_rank_laurent_q_grid_budget_counts_primes(monkeypatch):
     # rows (f, f) and (1, 1), f with 121 terms of about 2^600 in x and y: the
     # 11 x 11 grid fits the budget with one prime, but its height needs 21,
@@ -1266,13 +1296,36 @@ def test_find_irreducible_filters_before_rabin(monkeypatch):
         return rabin(f, p, primes)
 
     monkeypatch.setattr(linalg, "_rabin_passes", spy)
-    for p, e in ((3, 4), (5, 6), (7, 4), (11, 3), (1000003, 4)):
+    for p, e in ((13, 4), (5, 6), (7, 4), (11, 3), (1000003, 4)):
         linalg._find_irreducible.cache_clear()
         tested.clear()
         assert linalg._find_irreducible(p, e) in tested
         for f in tested:
             assert all(sum(c * a ** i for i, c in enumerate(f)) % p for a in (0, 1, -1)), (p, e, f)
     linalg._find_irreducible.cache_clear()
+
+
+def test_recorded_moduli_are_the_search(monkeypatch):
+    # F_2 and F_3 read their moduli from RECORDED_MODULI; each is the
+    # polynomial the seeded search returns with the table bypassed
+    linalg._find_irreducible.cache_clear()
+    recorded = {(p, e): linalg._find_irreducible(p, e) for p in (2, 3) for e in range(2, 17)}
+    assert [len(linalg.RECORDED_MODULI[p]) for p in (2, 3)] == [15, 15]
+    monkeypatch.setattr(linalg, "RECORDED_MODULI", {})
+    linalg._find_irreducible.cache_clear()
+    searched = {(p, e): linalg._find_irreducible(p, e) for p in (2, 3) for e in range(2, 17)}
+    linalg._find_irreducible.cache_clear()
+    assert recorded == searched
+
+
+def test_recorded_moduli_skip_the_search(monkeypatch):
+    monkeypatch.setattr(linalg, "_rabin_passes", lambda f, p, primes: pytest.fail("searched"))
+    linalg._find_irreducible.cache_clear()
+    try:
+        assert linalg._find_irreducible(2, 16) == first_rabin_candidate(2, 16, LIMIT)
+        assert linalg._find_irreducible(3, 2) == [2, 1, 1]
+    finally:
+        linalg._find_irreducible.cache_clear()
 
 
 def _random_irreducible(rng, p, e):
