@@ -119,19 +119,29 @@ def _help_formatter():
                              width=shutil.get_terminal_size().columns - 2)
 
 
+class _StoreOne(argparse.Action):
+    """argparse's store action, except that it refuses the empty list that
+    Python 3.11's argparse makes of an explicit ``--name=--``, with the
+    error argparse gives for a missing value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if isinstance(values, list):
+            raise argparse.ArgumentError(self, "expected one argument")
+        setattr(namespace, self.dest, values)
+
+
 def _add_options(parser: argparse.ArgumentParser, levels: bool, tol: bool) -> None:
     """The options of one subcommand, for its subparser in ``build_parser``;
     ``_read_args`` reads the same options with the same defaults."""
-    parser.add_argument("--input", required=True, help="path to a JSON input file")
+    add = functools.partial(parser.add_argument, action=_StoreOne)
+    add("--input", required=True, help="path to a JSON input file")
     if levels:
-        parser.add_argument("--levels", default=None,
-                            help="comma-separated strictly increasing levels")
-    parser.add_argument("--seed", type=int, default=0)
+        add("--levels", default=None, help="comma-separated strictly increasing levels")
+    add("--seed", type=int, default=0)
     if tol:
-        parser.add_argument("--tol", default="1/20",
-                            help="agreement tolerance as an exact rational, e.g. 1/20")
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+        add("--tol", default="1/20", help="agreement tolerance as an exact rational, e.g. 1/20")
+    add("--out", default=None, help="output path (default stdout)")
+    add("--format", choices=("csv", "json"), default="csv")
 
 
 def build_parser() -> argparse.ArgumentParser:

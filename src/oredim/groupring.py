@@ -17,12 +17,13 @@ arithmetic over a coordinate box, and differ only in how a product
 ``f * g`` is located in the basis: by its coset (the box index of the
 product mod the quotient's moduli), or by its position in the Foelner box
 (outside the box it is dropped).  It reduces the summed coefficients into
-the field itself and fills the ``PlainMatrix`` without a per-entry
-``normalize``.  ``restrict_scalars`` runs one loop for both supported
-subgroups, each the kernel of a quotient whose fundamental domain gives
-the coset representatives.  That loop, like the ring arithmetic, only
-adds raw coefficients: the ``GroupRingMatrix`` and ``GroupRingElement``
-constructors reduce into the field and drop zeros.
+the field itself and hands the ``PlainMatrix`` its sorted (row, col,
+value) lists without a per-entry ``normalize``.  ``restrict_scalars``
+runs one loop for both supported subgroups, each the kernel of a quotient
+whose fundamental domain gives the coset representatives.  That loop,
+like the ring arithmetic, only adds raw coefficients: the
+``GroupRingMatrix`` and ``GroupRingElement`` constructors reduce into the
+field and drop zeros.
 
 Over Q on Z^d and D_inf, ``dimensions.quotient_ranker`` ranks quotients
 without ``induce_to_quotient``: it hands ``to_laurent`` of the matrix (on
@@ -256,12 +257,13 @@ def _transport(matrix: GroupRingMatrix, sizes, wrap: bool) -> PlainMatrix:
     (row, col, value) triples of all terms are sorted by (row, col), and
     the values of each cell summed with ``np.add.reduceat``: int64 residues
     below 2^31 over F_p, reduced mod p afterwards, and ``Fraction`` objects
-    over Q.  Cells that sum to zero are dropped, and the rest go into the
-    matrix as they are, already reduced into the field.
+    over Q.  Cells that sum to zero are dropped, and the rest, already
+    sorted and reduced into the field, become the matrix's storage lists
+    as they are (``PlainMatrix.from_sorted``).
     """
     field, group = matrix.field, matrix.group
     n = math.prod(sizes)
-    out = PlainMatrix(field, matrix.nrows * n, matrix.ncols * n)
+    nrows, ncols = matrix.nrows * n, matrix.ncols * n
     reach = None if wrap else group.reach(sizes)
     slots: Dict[Element, int] = {}
     term_row, term_col, term_g, term_val = [], [], [], []
@@ -276,7 +278,7 @@ def _transport(matrix: GroupRingMatrix, sizes, wrap: bool) -> PlainMatrix:
             term_g.append(slots.setdefault(g, len(slots)))
             term_val.append(a)
     if not term_val:
-        return out
+        return PlainMatrix(field, nrows, ncols)
     box = np.indices(sizes).reshape(len(sizes), n).T
     prods = group.mul_arrays(box, np.array(list(slots), dtype=np.int64)[:, None, :])
     coords = tuple(np.moveaxis(prods, -1, 0))
@@ -289,7 +291,7 @@ def _transport(matrix: GroupRingMatrix, sizes, wrap: bool) -> PlainMatrix:
     keep = targets >= 0
     rows = (np.array(term_row)[:, None] + np.arange(n))[keep]
     if not rows.size:
-        return out
+        return PlainMatrix(field, nrows, ncols)
     cols = (targets + np.array(term_col)[:, None])[keep]
     dtype = np.int64 if isinstance(field, PrimeField) else object
     vals = np.broadcast_to(np.array(term_val, dtype=dtype)[:, None], keep.shape)[keep]
@@ -301,9 +303,8 @@ def _transport(matrix: GroupRingMatrix, sizes, wrap: bool) -> PlainMatrix:
         sums %= field.p
     nonzero = sums != 0
     live = starts[nonzero]
-    out.entries = dict(zip(zip(rows[live].tolist(), cols[live].tolist()),
-                           sums[nonzero].tolist()))
-    return out
+    return PlainMatrix.from_sorted(field, nrows, ncols, rows[live].tolist(),
+                                   cols[live].tolist(), sums[nonzero].tolist())
 
 
 @dataclass(frozen=True)

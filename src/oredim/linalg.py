@@ -2,10 +2,13 @@
 
 Two matrix flavors:
 
-* ``PlainMatrix`` -- matrices over F_p or Q.  ``rank_sparse`` eliminates
-  sparsely, each pivot a shortest row in a column of least live count,
-  found from buckets of columns keyed by that count instead of by
-  rescanning the block; it is the one kernel for Q.  It computes on plain
+* ``PlainMatrix`` -- matrices over F_p or Q, stored as three parallel
+  lists of rows, columns and values, sorted by (row, col), with no
+  duplicates and no zeros; the transports hand it theirs as they are
+  (``PlainMatrix.from_sorted``).  ``rank_sparse`` eliminates sparsely,
+  each pivot a shortest row in a column of least live count, found from
+  buckets of columns keyed by that count instead of by rescanning the
+  block; it is the one kernel for Q.  It computes on plain
   Python ints over both fields: residues over F_p, and over Q rows cleared
   to primitive integer vectors and updated fraction-free, which scales
   rows by nonzero constants only and so keeps every pivot of elimination
@@ -45,7 +48,8 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -113,33 +117,60 @@ RECORDED_MODULI = {
 
 
 class PlainMatrix:
-    """A matrix over F_p or Q with sparse (row, col) -> value storage."""
+    """A matrix over F_p or Q, stored as three parallel lists ``rows``,
+    ``cols`` and ``vals``: its nonzero entries in increasing (row, col)
+    order, each (row, col) once, each value normalized into the field.
+
+    The constructor takes a {(row, col): value} dict, checks, normalizes
+    and drops zeros, then sorts once; ``from_sorted`` takes lists that
+    already hold to the format.  ``entries`` is a read-only dict view,
+    built on each access.
+    """
+
+    __slots__ = ("field", "nrows", "ncols", "rows", "cols", "vals")
 
     def __init__(self, field: Field, nrows: int, ncols: int, entries=None):
         if nrows < 0 or ncols < 0:
             raise ValueError("matrix shape must be nonnegative")
-        self.field = field
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries: Dict[Tuple[int, int], RawScalar] = {}
+        triples = []
         if entries:
             for (i, j), v in entries.items():
                 if not (0 <= i < nrows and 0 <= j < ncols):
                     raise ValueError(f"entry ({i},{j}) outside a {nrows}x{ncols} matrix")
                 v = field.normalize(v)
                 if not field.is_zero(v):
-                    self.entries[(i, j)] = v
+                    triples.append((i, j, v))
+        # the keys are distinct, so no two values are ever compared
+        triples.sort()
+        self.field, self.nrows, self.ncols = field, nrows, ncols
+        self.rows = [i for i, _, _ in triples]
+        self.cols = [j for _, j, _ in triples]
+        self.vals = [v for _, _, v in triples]
+
+    @classmethod
+    def from_sorted(cls, field: Field, nrows: int, ncols: int, rows, cols, vals) -> "PlainMatrix":
+        """A matrix from lists already in the storage format: strictly
+        increasing in (row, col), in range, values nonzero and reduced
+        into the field.  Nothing is checked."""
+        m = cls.__new__(cls)
+        m.field, m.nrows, m.ncols = field, nrows, ncols
+        m.rows, m.cols, m.vals = rows, cols, vals
+        return m
+
+    @property
+    def entries(self) -> Mapping[Tuple[int, int], RawScalar]:
+        return MappingProxyType(dict(zip(zip(self.rows, self.cols), self.vals)))
 
     def to_dense(self):
         zero = self.field.zero
         rows = [[zero] * self.ncols for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
+        for i, j, v in zip(self.rows, self.cols, self.vals):
             rows[i][j] = v
         return rows
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return len(self.vals)
 
     def transpose(self) -> "PlainMatrix":
         return PlainMatrix(self.field, self.ncols, self.nrows,
@@ -148,7 +179,8 @@ class PlainMatrix:
     def __eq__(self, other):
         return (isinstance(other, PlainMatrix) and self.field == other.field
                 and self.nrows == other.nrows and self.ncols == other.ncols
-                and self.entries == other.entries)
+                and self.rows == other.rows and self.cols == other.cols
+                and self.vals == other.vals)
 
     def __repr__(self):
         return f"PlainMatrix({self.field!r}, {self.nrows}x{self.ncols}, nnz={self.nnz})"
@@ -239,11 +271,10 @@ def rank_dense(m: PlainMatrix) -> int:
     numpy would silently store each Fraction as its truncation."""
     if not isinstance(m.field, PrimeField):
         raise TypeError(f"rank_dense needs a matrix over F_p, not over {m.field!r}")
-    if not m.entries:
+    if not m.vals:
         return 0
     a = np.zeros((m.nrows, m.ncols), dtype=np.int64)
-    for (i, j), v in m.entries.items():
-        a[i, j] = v
+    a[m.rows, m.cols] = m.vals
     return _rank_dense_modp(a, m.field.p)
 
 
@@ -266,7 +297,7 @@ def rank_sparse(m: PlainMatrix) -> int:
     slower.
 
     The pivot depends only on the matrix: the row and column structures
-    are built from the entries in sorted (row, col) order, every bucket
+    are built in one pass over its lists, in (row, col) order, every bucket
     and column index is an insertion-ordered dict, and updates run in
     that order, so ties break the same way on every run and no hash seed
     enters.  Any nonzero pivot is exact over an exact field, so the rank
@@ -286,11 +317,20 @@ def rank_sparse(m: PlainMatrix) -> int:
     """
     field = m.field
     modp = isinstance(field, PrimeField)
+    p = field.p if modp else None
     rows: Dict[int, Dict[int, int]] = {}
     cols: Dict[int, Dict[int, None]] = {}
-    for (i, j), v in sorted(m.entries.items()):
-        rows.setdefault(i, {})[j] = v
-        cols.setdefault(j, {})[i] = None
+    row_id = None
+    for i, j, v in zip(m.rows, m.cols, m.vals):
+        if i != row_id:
+            row_id = i
+            row = rows[i] = {}
+        row[j] = v
+        col = cols.get(j)
+        if col is None:
+            cols[j] = {i: None}
+        else:
+            col[i] = None
     if not modp:
         for row in rows.values():
             lcm = math.lcm(*(v.denominator for v in row.values()))
@@ -300,7 +340,7 @@ def rank_sparse(m: PlainMatrix) -> int:
     col_bins: Dict[int, Dict[int, None]] = {}
     for j, col in cols.items():
         col_bins.setdefault(len(col), {})[j] = None
-    nnz = len(m.entries)
+    nnz = len(m.vals)
     live_cols = len(cols)
     rank = 0
     while rows:
@@ -316,12 +356,11 @@ def rank_sparse(m: PlainMatrix) -> int:
             del col_bins[len(cols[j])][j]
             del cols[j][pi]
         pv = prow.pop(pj)
-        if modp:
-            p = field.p
+        targets = cols.pop(pj)
+        if modp and targets:
             pinv = pow(pv, -1, p)
             for j, v in prow.items():
                 prow[j] = v * pinv % p
-        targets = cols.pop(pj)
         live_cols -= 1
         nnz -= len(targets)
         for i2 in targets:
@@ -353,7 +392,11 @@ def rank_sparse(m: PlainMatrix) -> int:
         for j in prow:
             col = cols[j]
             if col:
-                col_bins.setdefault(len(col), {})[j] = None
+                bucket = col_bins.get(len(col))
+                if bucket is None:
+                    col_bins[len(col)] = {j: None}
+                else:
+                    bucket[j] = None
             else:
                 del cols[j]
                 live_cols -= 1
@@ -376,18 +419,24 @@ def _pivot(rows, cols, col_bins):
     while not col_bins.get(k):
         k += 1
     j = next(reversed(col_bins[k]))
+    if k == 1:
+        return next(iter(cols[j])), j
     return min(cols[j], key=lambda i: len(rows[i])), j
 
 
 def _densify_rank(field, rows) -> int:
-    row_ids = sorted(rows)
     col_ids = sorted({j for r in rows.values() for j in r})
     col_pos = {j: k for k, j in enumerate(col_ids)}
-    block = PlainMatrix(field, len(row_ids), len(col_ids))
     # the live entries are nonzero residues already: no normalizing pass
-    block.entries = {(ri, col_pos[j]): v
-                     for ri, i in enumerate(row_ids) for j, v in rows[i].items()}
-    return rank_dense(block)
+    block_rows, block_cols, block_vals = [], [], []
+    for ri, i in enumerate(sorted(rows)):
+        row = rows[i]
+        for j in sorted(row):
+            block_rows.append(ri)
+            block_cols.append(col_pos[j])
+            block_vals.append(row[j])
+    return rank_dense(PlainMatrix.from_sorted(field, len(rows), len(col_ids),
+                                              block_rows, block_cols, block_vals))
 
 
 def rank_plain(m: PlainMatrix) -> int:

@@ -3,11 +3,15 @@
 Everything here is deliberately naive (plain lists and dicts, nothing from
 the package's elimination kernels) so that expected values frozen in the
 tests come from a second route.  The textbook rank oracle is
-``oracle_rank``, list-based Gauss-Jordan elimination.
+``oracle_rank``, list-based Gauss-Jordan elimination.  The exception is
+``reference_rank_sparse``, a second copy of the sparse kernel's pivot
+rule on its own dict storage, against which the kernel's pivot order is
+checked.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -15,7 +19,7 @@ from oredim.errors import SchemaError
 from oredim.fields import PrimeField, Rationals
 from oredim.groupring import GroupRingElement, GroupRingMatrix
 from oredim.groups import Zd
-from oredim.linalg import PlainMatrix
+from oredim.linalg import SPARSE_FILL_LIMIT, PlainMatrix
 
 
 def oracle_rank(rows, field):
@@ -447,3 +451,99 @@ def random_zd_matrix(rng, field, d, nrows, ncols, max_exp=2, min_exp=0):
             if terms:
                 entries[(i, j)] = GroupRingElement(field, group, terms)
     return GroupRingMatrix(field, group, nrows, ncols, entries)
+
+
+# -- reference sparse kernel --------------------------------------------------
+
+def reference_rank_sparse(m, rank_dense, pivots):
+    """``linalg.rank_sparse`` built from a sorted {(row, col): value} dict,
+    with the same column-first pivots, the same fraction-free updates over
+    Q and the same hand-off of a filled F_p block: the reference whose
+    work the kernel must repeat pivot for pivot.  Appends each pivot
+    (row, col) to ``pivots`` and ranks the dense remainder, a PlainMatrix
+    of the live rows and columns in order, by ``rank_dense``."""
+    field = m.field
+    modp = isinstance(field, PrimeField)
+    rows, cols = {}, {}
+    for (i, j), v in sorted(m.entries.items()):
+        rows.setdefault(i, {})[j] = v
+        cols.setdefault(j, {})[i] = None
+    if not modp:
+        for row in rows.values():
+            lcm = math.lcm(*(v.denominator for v in row.values()))
+            for j, v in row.items():
+                row[j] = v.numerator * (lcm // v.denominator)
+            _reference_divide_content(row)
+    col_bins = {}
+    for j, col in cols.items():
+        col_bins.setdefault(len(col), {})[j] = None
+    nnz, live_cols, rank = m.nnz, len(cols), 0
+    while rows:
+        if modp and len(rows) > 1 and nnz > SPARSE_FILL_LIMIT * len(rows) * live_cols:
+            row_ids = sorted(rows)
+            col_pos = {j: k for k, j in enumerate(sorted({j for r in rows.values() for j in r}))}
+            block = {(ri, col_pos[j]): v for ri, i in enumerate(row_ids)
+                     for j, v in rows[i].items()}
+            return rank + rank_dense(PlainMatrix(field, len(row_ids), len(col_pos), block))
+        k = 1
+        while not col_bins.get(k):
+            k += 1
+        pj = next(reversed(col_bins[k]))
+        pi = min(cols[pj], key=lambda i: len(rows[i]))
+        pivots.append((pi, pj))
+        prow = rows.pop(pi)
+        nnz -= len(prow)
+        for j in prow:
+            del col_bins[len(cols[j])][j]
+            del cols[j][pi]
+        pv = prow.pop(pj)
+        if modp:
+            p = field.p
+            pinv = pow(pv, -1, p)
+            for j, v in prow.items():
+                prow[j] = v * pinv % p
+        targets = cols.pop(pj)
+        live_cols -= 1
+        nnz -= len(targets)
+        for i2 in targets:
+            row2 = rows[i2]
+            b = row2.pop(pj)
+            if not modp:
+                g = math.gcd(pv, b)
+                b //= g
+                scale = pv // g
+                for j in row2:
+                    row2[j] *= scale
+            for j, v in prow.items():
+                new = row2.get(j, 0) - b * v
+                if modp:
+                    new %= p
+                if new:
+                    if j not in row2:
+                        cols[j][i2] = None
+                        nnz += 1
+                    row2[j] = new
+                elif j in row2:
+                    del row2[j]
+                    del cols[j][i2]
+                    nnz -= 1
+            if not row2:
+                del rows[i2]
+            elif not modp:
+                _reference_divide_content(row2)
+        for j in prow:
+            col = cols[j]
+            if col:
+                col_bins.setdefault(len(col), {})[j] = None
+            else:
+                del cols[j]
+                live_cols -= 1
+        rank += 1
+    return rank
+
+
+def _reference_divide_content(row):
+    content = math.gcd(*row.values())
+    if content > 1:
+        for j, v in row.items():
+            row[j] = v // content

@@ -503,3 +503,22 @@ def test_ore_extension_degree_past_16_exit_3(tmp_path, capsys):
     code, out, err = run(capsys, ["ore", "--input", path])
     assert code == 3 and out == ""
     assert "D=1101" in err and "F_{2^17}" in err and "16" in err
+
+
+@pytest.mark.parametrize("option", ["--input", "--levels", "--seed", "--tol", "--out", "--format"])
+def test_explicit_double_dash_value_is_a_missing_argument(z_module_path, tmp_path, capsys,
+                                                          monkeypatch, option):
+    # Python 3.11's argparse parses --name=-- as an empty list; the CLI
+    # reports it as argparse reports a missing value, before any work
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    argv = ["approx"] + ([] if option == "--input" else ["--input", z_module_path])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + [f"{option}=--"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("usage: oredim approx ")
+    assert captured.err.endswith(f"oredim approx: error: argument {option}: "
+                                 "expected one argument\n")
+    assert list(cwd.iterdir()) == []

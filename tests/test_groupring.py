@@ -232,6 +232,8 @@ def test_compress_agrees_with_induce_on_interior():
 def assert_same_transport(got, want):
     assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
     assert got.entries == want.entries
+    # the transport's lists are the ones the constructor sorts out of the dict
+    assert got == want and all(got.vals)
     kind = int if isinstance(got.field, PrimeField) else Fraction
     assert all(type(v) is kind for v in got.entries.values())
 

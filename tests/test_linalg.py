@@ -11,10 +11,13 @@ import pytest
 
 from helpers import (cleared_minor_degree, first_rabin_candidate, irreducible_by_trial_division,
                      oracle_laurent_rank, oracle_rank, oracle_rank_ext, oracle_rank_q,
-                     polygcd, polymul, polymulmod, rabin_irreducible)
+                     polygcd, polymul, polymulmod, rabin_irreducible, random_ring_element,
+                     reference_rank_sparse)
 from oredim import linalg
 from oredim.errors import UnsupportedOperationError
 from oredim.fields import PrimeField, Rationals, is_prime
+from oredim.groupring import GroupRingMatrix, compress_to_folner, induce_to_quotient
+from oredim.groups import DihedralInfinite, Heisenberg, Zd
 from oredim.linalg import (LaurentMatrix, PlainMatrix, RankReport, poly_add,
                            poly_divexact, poly_monomial_shift, poly_mul, rank_dense,
                            rank_laurent, rank_laurent_bareiss,
@@ -526,6 +529,68 @@ def test_rank_sparse_pivot_rows_stay_on_the_fill_front(monkeypatch):
     assert rank_sparse(plane_quotient(F3, 48)) == 48 * 48 - 1
     # all but the last few pivots are sparse ones
     assert len(lengths) > 48 * 48 - 10 and max(lengths) <= 4
+
+
+@pytest.mark.parametrize("group,level", [(Zd(1), 32), (Zd(2), 8), (Zd(3), 4),
+                                         (DihedralInfinite(), 16), (Heisenberg(), 3)],
+                         ids=repr)
+def test_rank_sparse_repeats_the_reference_kernel_on_transports(group, level, monkeypatch):
+    # On seeded quotient and Foelner matrices, rank_sparse takes the pivots
+    # of the dict-built reference in the same order and hands rank_dense
+    # the same blocks
+    pivots, blocks = [], []
+    real_pivot, real_dense = linalg._pivot, linalg.rank_dense
+    monkeypatch.setattr(linalg, "_pivot",
+                        lambda *args: pivots.append(real_pivot(*args)) or pivots[-1])
+    monkeypatch.setattr(linalg, "rank_dense",
+                        lambda block: blocks.append(block) or real_dense(block))
+    rng = random.Random(157)
+    fallbacks = 0
+    for field in (F2, F3, PrimeField(1000003), Q):
+        for transport, basis in ((induce_to_quotient, group.quotient(level)),
+                                 (compress_to_folner, group.folner_set(level))):
+            entries = {(i, j): random_ring_element(rng, field, group, max_terms=5, span=2)
+                       for i in range(3) for j in range(3) if rng.random() < 0.8}
+            m = transport(GroupRingMatrix(field, group, 3, 3, entries), basis)
+            pivots.clear()
+            blocks.clear()
+            want_pivots, want_blocks = [], []
+            want = reference_rank_sparse(
+                m, lambda block: want_blocks.append(block) or real_dense(block), want_pivots)
+            assert rank_sparse(m) == want
+            assert pivots == want_pivots and blocks == want_blocks
+            fallbacks += len(blocks)
+    assert fallbacks >= 2
+
+
+def test_plain_matrix_stores_sorted_triples():
+    rng = random.Random(163)
+    for field in (F2, F5, PrimeField(1000003), Q):
+        for nrows, ncols in ((1, 1), (7, 3), (12, 20)):
+            entries = {}
+            for _ in range(nrows * ncols // 2):
+                num = rng.randint(-6, 6)
+                v = Fraction(num, rng.randint(1, 3)) if field is Q else num
+                entries[(rng.randrange(nrows), rng.randrange(ncols))] = v
+            entries[(nrows - 1, 0)] = 0
+            reduced = {k: field.normalize(v) for k, v in entries.items()
+                       if not field.is_zero(field.normalize(v))}
+            assert len(reduced) < len(entries)  # some zeros to drop
+            items = list(entries.items())
+            rng.shuffle(items)
+            m = PlainMatrix(field, nrows, ncols, entries)
+            assert m == PlainMatrix(field, nrows, ncols, dict(items))
+            keys = list(zip(m.rows, m.cols))
+            assert keys == sorted(reduced) and all(m.vals)
+            assert m.entries == reduced and m.nnz == len(reduced)
+            assert m.to_dense() == [[reduced.get((i, j), field.zero) for j in range(ncols)]
+                                    for i in range(nrows)]
+            t = m.transpose()
+            assert list(zip(t.rows, t.cols)) == sorted((j, i) for i, j in reduced)
+            assert t.entries == {(j, i): v for (i, j), v in reduced.items()}
+            assert t.transpose() == m
+            with pytest.raises(TypeError):
+                m.entries[(0, 0)] = field.one
 
 
 # -- metamorphic invariances ---------------------------------------------------
